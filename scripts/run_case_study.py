@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from blqq import io as bio
-from blqq.cli import predict_draws
 from blqq.metrics import misclassification, rmse
-from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
+from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig, predict_draws
 from blqq.sampler import run_chain
 from blqq.simulate import gen_birth_records
 

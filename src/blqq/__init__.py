@@ -4,8 +4,6 @@ latent Gaussian variable, with an efficient leave-one-out Gibbs sampler."""
 from .distributions import (
     RandomStream,
     inverse_mills,
-    log_beta_density,
-    sample_mvn,
     sample_scaled_inv_chi2,
     sample_truncated_normal,
     std_normal_cdf,
@@ -14,13 +12,14 @@ from .distributions import (
 from .model import (
     ChainConfig,
     Dataset,
+    Draws,
     EffectOrders,
     HyperState,
     ParameterState,
     PriorConfig,
-    build_prior_covariance,
+    draw_columns,
     joint_log_likelihood,
-    predict,
+    predict_draws,
     s_score,
 )
 from .sampler import (
@@ -39,7 +38,7 @@ from .sampler import (
     sample_tau2,
     sample_u_sweep,
 )
-from .baselines import SeparateFitOutput, fit_sm_b
+from .baselines import fit_sm_b
 from .simulate import (
     GeneratedReplicate,
     SimulationScenario,

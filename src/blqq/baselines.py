@@ -10,39 +10,15 @@ joint versus separate modeling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .model import ChainConfig, Dataset, EffectOrders, PriorConfig
 from .sampler import ChainOutput, run_chain
 
 
-@dataclass
-class SeparateFitOutput:
-    """Chain output of the factorized baseline; rho draws are identically 0."""
-
-    chain: ChainOutput
-
-    @property
-    def beta1(self) -> np.ndarray:
-        return self.chain.beta1
-
-    @property
-    def beta2(self) -> np.ndarray:
-        return self.chain.beta2
-
-    @property
-    def sigma2(self) -> np.ndarray:
-        return self.chain.sigma2
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.chain.rho
-
-
 def fit_sm_b(data: Dataset, orders: EffectOrders, prior: PriorConfig,
-             cfg: ChainConfig) -> SeparateFitOutput:
-    """Fit the separate-model baseline on the same machinery as the joint fit."""
+             cfg: ChainConfig) -> ChainOutput:
+    """Fit the separate-model baseline on the same machinery as the joint fit;
+    the returned rho draws are identically 0."""
     cfg_sep = replace(cfg, freeze_rho_at_zero=True, update_rho=False)
-    return SeparateFitOutput(chain=run_chain(data, orders, prior, cfg_sep))
+    return run_chain(data, orders, prior, cfg_sep)

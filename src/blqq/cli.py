@@ -11,11 +11,9 @@ import os
 import sys
 
 import numpy as np
-from scipy import special
 
 from . import io as bio
 from .baselines import fit_sm_b
-from .distributions import inverse_mills
 from .metrics import (
     LossReport,
     effective_sample_size,
@@ -27,7 +25,7 @@ from .metrics import (
     select_via_ci,
     summarize_draws,
 )
-from .model import ChainConfig, Dataset, EffectOrders, PriorConfig
+from .model import ChainConfig, Dataset, EffectOrders, PriorConfig, predict_draws
 from .sampler import IllConditionedError, run_chain
 from .simulate import SimulationScenario, gen_replicate
 
@@ -76,44 +74,11 @@ def _prior_config(args) -> PriorConfig:
     return PriorConfig(nu=args.nu, delta_sq=args.delta_sq, a=args.beta_a, b=args.beta_b)
 
 
-def predict_draws(chain, X, y=None, z=None):
-    """Posterior-mean predictions for every row of X.
-
-    Each response is predicted conditionally on the other when it is
-    observed: with y in hand, P(z=1|y,x) averages Phi of the probit score
-    s(y|theta,x); with z in hand, E[y|z,x] adds the rho*sigma-scaled
-    inverse Mills adjustment to x'beta2. When the other response is absent
-    the marginal rules Phi(x'beta1) and x'beta2 apply. For a chain with
-    rho pinned at 0 both forms coincide, so the separate-model baseline is
-    untouched by the conditioning.
-    """
-    lin1 = X @ chain.beta1.T        # (n, S)
-    lin2 = X @ chain.beta2.T
-    rho = np.asarray(chain.rho, dtype=float)
-    sigma = np.sqrt(np.asarray(chain.sigma2, dtype=float))
-    if y is not None:
-        s = (lin1 + (rho / sigma) * (np.asarray(y, dtype=float)[:, None] - lin2)) \
-            / np.sqrt(1.0 - rho * rho)
-        p_z1 = special.ndtr(s).mean(axis=1)
-    else:
-        p_z1 = special.ndtr(lin1).mean(axis=1)
-    if z is not None:
-        zcol = np.asarray(z)[:, None]
-        # E[eps1 | z]: inverse Mills ratio on the half-line z dictates
-        lam = np.where(zcol == 1, inverse_mills(lin1), -inverse_mills(-lin1))
-        y_hat = (lin2 + (rho * sigma) * lam).mean(axis=1)
-    else:
-        y_hat = lin2.mean(axis=1)
-    z_hat = (p_z1 >= 0.5).astype(int)
-    return y_hat, p_z1, z_hat
-
-
 def evaluate_fit(chain, test: Dataset, beta1_true, beta2_true) -> LossReport:
     """All the loss measures for one fitted replicate."""
     y_hat, _, z_hat = predict_draws(chain, test.X, y=test.y, z=test.z)
-    draws = np.hstack([chain.beta1, chain.beta2])
-    names = [f"b{j}" for j in range(draws.shape[1])]
-    selected = select_via_ci(summarize_draws(draws, names))
+    k = 2 * chain.p                 # the beta1 and beta2 columns
+    selected = select_via_ci(summarize_draws(chain.draws[:, :k], chain.names[:k]))
     true_support = np.concatenate([beta1_true != 0, beta2_true != 0])
     fp, fn, total = fsl(selected, true_support)
     return LossReport(
@@ -128,48 +93,26 @@ def evaluate_fit(chain, test: Dataset, beta1_true, beta2_true) -> LossReport:
     )
 
 
-def _full_summary(chain):
-    p = chain.beta1.shape[1]
-    names = [f"beta1_{j + 1}" for j in range(p)] + [f"beta2_{j + 1}" for j in range(p)]
-    names += ["sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2"]
-    draws = np.hstack([
-        chain.beta1, chain.beta2,
-        chain.sigma2[:, None], chain.rho[:, None],
-        chain.tau1_sq[:, None], chain.tau2_sq[:, None],
-        chain.r1[:, None], chain.r2[:, None],
-    ])
-    return summarize_draws(draws, names), names, draws
-
-
 def _write_fit_outputs(out_dir, chain, meta, max_acf_lag=50):
     os.makedirs(out_dir, exist_ok=True)
     bio.write_chain_csv(os.path.join(out_dir, "chain.csv"), chain, meta=meta)
-    summary, names, draws = _full_summary(chain)
+    summary = summarize_draws(chain.draws, chain.names)
     bio.write_summary_csv(os.path.join(out_dir, "summary.csv"), summary, meta=meta)
 
-    lag = min(max_acf_lag, max(1, draws.shape[0] // 2 - 1))
-    scalar_names = ["sigma2", "rho"]
+    lag = min(max_acf_lag, max(1, chain.n_stored // 2 - 1))
     acf_table = {}
     ess = {}
-    for name in names:
-        col = draws[:, names.index(name)]
-        if draws.shape[0] >= 100:
-            if np.std(col) == 0.0:
-                ess[name] = 1.0
-            else:
-                ess[name] = effective_sample_size(col)
-        if name in scalar_names and np.std(col) > 0:
+    for name, col in zip(chain.names, chain.draws.T):
+        if chain.n_stored >= 100:
+            ess[name] = 1.0 if np.std(col) == 0.0 else effective_sample_size(col)
+        if name in ("sigma2", "rho") and np.std(col) > 0:
             acf_table[name] = acf(col, lag)
     bio.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"),
                               chain.acceptance, ess, acf_table, meta=meta)
 
-    p = chain.beta1.shape[1]
-    hist_params = {"sigma2": chain.sigma2, "rho": chain.rho}
-    for j in range(p):
-        hist_params[f"beta1_{j + 1}"] = chain.beta1[:, j]
-        hist_params[f"beta2_{j + 1}"] = chain.beta2[:, j]
-    for name, col in hist_params.items():
-        bio.write_histogram_csv(os.path.join(out_dir, f"hist_{name}.csv"), col, meta=meta)
+    for name in ["sigma2", "rho"] + chain.names[:2 * chain.p]:
+        bio.write_histogram_csv(os.path.join(out_dir, f"hist_{name}.csv"),
+                                chain.column(name), meta=meta)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -204,7 +147,7 @@ def cmd_fit(args) -> int:
     cfg = _chain_config(args)
     prior = _prior_config(args)
     if args.model == "smb":
-        chain = fit_sm_b(data, orders, prior, cfg).chain
+        chain = fit_sm_b(data, orders, prior, cfg)
     else:
         chain = run_chain(data, orders, prior, cfg)
     meta = bio.config_meta(cfg, extra={"model": args.model, "data": os.path.basename(args.data)})
@@ -214,20 +157,18 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     chain = bio.read_chain_csv(args.chain)
-    parsed, _ = bio.parse_dataset_csv(args.data, require_responses=False)
-    if isinstance(parsed, Dataset):
-        X, y_true, z_true = parsed.X, parsed.y, parsed.z
-    else:
-        X, y_true, z_true = parsed[0], parsed[1], parsed[2]
-    if X.shape[1] != chain.beta1.shape[1]:
+    data, _ = bio.parse_dataset_csv(args.data, require_responses=False)
+    if data.p != chain.p:
         raise bio.DatasetFormatError(
-            f"dataset has {X.shape[1]} predictors but chain was fit with {chain.beta1.shape[1]}")
-    y_hat, p_z1, z_hat = predict_draws(chain, X, y=y_true, z=z_true)
-    losses = None
-    if y_true is not None and z_true is not None:
-        losses = {"rmse": rmse(y_true, y_hat), "me": misclassification(z_true, z_hat)}
+            f"dataset has {data.p} predictors but chain was fit with {chain.p}")
+    y_hat, p_z1, z_hat = predict_draws(chain, data.X, y=data.y, z=data.z)
+    losses = {}
+    if data.y is not None:
+        losses["rmse"] = rmse(data.y, y_hat)
+    if data.z is not None:
+        losses["me"] = misclassification(data.z, z_hat)
     bio.write_predictions_csv(args.out, y_hat, p_z1, z_hat,
-                              y_true=y_true, z_true=z_true, losses=losses,
+                              y_true=data.y, z_true=data.z, losses=losses,
                               meta={"chain": os.path.basename(args.chain),
                                     "data": os.path.basename(args.data)})
     return 0
@@ -255,7 +196,7 @@ def run_setting(rho, p, s, replicates, args):
             )
             try:
                 if method == "smb":
-                    chain = fit_sm_b(rep.train, orders, prior, cfg).chain
+                    chain = fit_sm_b(rep.train, orders, prior, cfg)
                 else:
                     chain = run_chain(rep.train, orders, prior, cfg)
                 report = evaluate_fit(chain, rep.test, rep.beta1_true, rep.beta2_true)
@@ -322,7 +263,7 @@ def cmd_replicate(args) -> int:
 
 def cmd_summarize(args) -> int:
     chain = bio.read_chain_csv(args.chain)
-    summary, _, _ = _full_summary(chain)
+    summary = summarize_draws(chain.draws, chain.names)
     bio.write_summary_csv(args.out, summary,
                           meta={"chain": os.path.basename(args.chain)})
     return 0

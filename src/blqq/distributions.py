@@ -134,18 +134,6 @@ def sample_scaled_inv_chi2(dof, scale, rng: RandomStream, size=None):
     return dof * scale / q
 
 
-def sample_mvn(mean, covariance, rng: RandomStream):
-    """One multivariate normal draw via the lower Cholesky factor."""
-    mean = np.asarray(mean, dtype=float)
-    covariance = np.asarray(covariance, dtype=float)
-    try:
-        chol = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance matrix is not positive definite") from exc
-    eta = rng.generator.standard_normal(mean.shape[0])
-    return mean + chol @ eta
-
-
 def inverse_mills(a):
     """phi(a) / Phi(a), computed via the scaled complementary error function
     so it neither under- nor overflows in either tail."""
@@ -153,11 +141,3 @@ def inverse_mills(a):
     out = math.sqrt(2.0 / math.pi) / special.erfcx(-a / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
-
-def log_beta_density(r, a, b):
-    """Log density of Beta(a, b) at r in (0, 1)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly inside (0, 1)")
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    return (a - 1.0) * math.log(r) + (b - 1.0) * math.log1p(-r) - special.betaln(a, b)

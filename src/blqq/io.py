@@ -7,12 +7,11 @@ use shortest round-trip float formatting so parse(write(x)) == x exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import PosteriorSummary
-from .model import ChainConfig, Dataset, EffectOrders
+from .model import ChainConfig, Dataset, Draws, EffectOrders, draw_columns
 
 
 class DatasetFormatError(ValueError):
@@ -54,15 +53,13 @@ def config_meta(cfg: ChainConfig, extra=None) -> dict:
 # --- dataset ---------------------------------------------------------------
 
 def parse_dataset_csv(path, require_responses: bool = True):
-    """Read a dataset file.
+    """Read a dataset file into (Dataset, EffectOrders).
 
     Header row is required; a `y` column (continuous) and a `z` column (0/1)
     are expected, all other columns are predictors in file order. An optional
     `#orders:` comment supplies per-predictor effect orders (default all 1).
-    Returns (Dataset, EffectOrders); with require_responses=False a missing
-    y or z column yields None in its place and a plain (X, columns) dataset
-    cannot be built, so the return is (X, y, z, columns, orders) style kept
-    uniform: y/z arrays may be None.
+    With require_responses=False either response column may be absent; the
+    Dataset then holds None for it.
     """
     orders_spec = None
     header = None
@@ -137,9 +134,7 @@ def parse_dataset_csv(path, require_responses: bool = True):
     else:
         orders = EffectOrders(np.ones(len(pred_idx), dtype=int))
 
-    if has_y and has_z:
-        return Dataset(X, y, z, columns=columns), orders
-    return (X, y, z, columns), orders
+    return Dataset(X, y, z, columns=columns), orders
 
 
 def write_dataset_csv(path, data: Dataset, orders: EffectOrders = None, meta=None):
@@ -155,71 +150,47 @@ def write_dataset_csv(path, data: Dataset, orders: EffectOrders = None, meta=Non
 
 # --- chain -----------------------------------------------------------------
 
-def chain_columns(p: int) -> list:
-    cols = ["iteration"]
-    cols += [f"beta1_{j + 1}" for j in range(p)]
-    cols += [f"beta2_{j + 1}" for j in range(p)]
-    cols += ["sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2"]
-    return cols
-
-
-def write_chain_csv(path, chain, meta=None):
-    p = chain.beta1.shape[1]
+def write_chain_csv(path, chain: Draws, meta=None):
     lines = _meta_lines(meta)
-    lines.append(",".join(chain_columns(p)))
-    for i in range(chain.beta1.shape[0]):
-        cells = [str(i)]
-        cells += [_fmt(v) for v in chain.beta1[i]]
-        cells += [_fmt(v) for v in chain.beta2[i]]
-        cells += [_fmt(chain.sigma2[i]), _fmt(chain.rho[i]),
-                  _fmt(chain.tau1_sq[i]), _fmt(chain.tau2_sq[i]),
-                  _fmt(chain.r1[i]), _fmt(chain.r2[i])]
-        lines.append(",".join(cells))
+    lines.append(",".join(["iteration"] + chain.names))
+    for i, row in enumerate(chain.draws):
+        lines.append(",".join([str(i)] + [_fmt(v) for v in row]))
     _write_lines(path, lines)
 
 
-@dataclass
-class ChainDraws:
-    """Chain draws re-read from disk; mirrors the stored ChainOutput arrays."""
-
-    beta1: np.ndarray
-    beta2: np.ndarray
-    sigma2: np.ndarray
-    rho: np.ndarray
-    tau1_sq: np.ndarray
-    tau2_sq: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-
-
-def read_chain_csv(path) -> ChainDraws:
+def read_chain_csv(path) -> Draws:
+    """Read a chain file; columns other than the draw columns are ignored."""
     header = None
     rows = []
     with open(path, "r", newline="") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):
                 continue
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
+            elif len(cells) != len(header):
+                raise DatasetFormatError(
+                    f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
             else:
                 rows.append(cells)
     if header is None:
         raise DatasetFormatError("chain file has no header row")
-    arr = np.array([[float(c) for c in row] for row in rows])
-    cols = {name: k for k, name in enumerate(header)}
     p = sum(1 for name in header if name.startswith("beta1_"))
     if p == 0:
         raise DatasetFormatError("chain file has no beta1 columns")
-    b1 = arr[:, [cols[f"beta1_{j + 1}"] for j in range(p)]]
-    b2 = arr[:, [cols[f"beta2_{j + 1}"] for j in range(p)]]
-    return ChainDraws(
-        beta1=b1, beta2=b2,
-        sigma2=arr[:, cols["sigma2"]], rho=arr[:, cols["rho"]],
-        tau1_sq=arr[:, cols["tau1_sq"]], tau2_sq=arr[:, cols["tau2_sq"]],
-        r1=arr[:, cols["r1"]], r2=arr[:, cols["r2"]],
-    )
+    names = draw_columns(p)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DatasetFormatError(f"chain file lacks column(s) {', '.join(missing)}")
+    if not rows:
+        raise DatasetFormatError("chain file has no draws")
+    idx = [header.index(name) for name in names]
+    draws = np.empty((len(rows), len(idx)))
+    for r, cells in enumerate(rows):
+        draws[r] = [float(cells[k]) for k in idx]
+    return Draws(draws)
 
 
 # --- summaries, diagnostics, histograms ------------------------------------
@@ -262,12 +233,16 @@ def write_predictions_csv(path, y_hat, p_z1, z_hat, y_true=None, z_true=None,
     lines = _meta_lines(meta)
     header = "row,y_hat,p_z1,z_hat"
     if y_true is not None:
-        header += ",y_true,z_true"
+        header += ",y_true"
+    if z_true is not None:
+        header += ",z_true"
     lines.append(header)
     for i in range(len(y_hat)):
         cells = [str(i), _fmt(y_hat[i]), _fmt(p_z1[i]), str(int(z_hat[i]))]
         if y_true is not None:
-            cells += [_fmt(y_true[i]), str(int(z_true[i]))]
+            cells.append(_fmt(y_true[i]))
+        if z_true is not None:
+            cells.append(str(int(z_true[i])))
         lines.append(",".join(cells))
     for k, v in (losses or {}).items():
         lines.append(f"#{k}: {_fmt(v)}")

@@ -7,17 +7,21 @@ a latent Gaussian U: z = 1 iff u >= 0, with (U, Y) bivariate normal given x
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .distributions import std_normal_cdf, std_normal_log_cdf
+from .distributions import inverse_mills, std_normal_log_cdf
 
 
 @dataclass
 class Dataset:
-    """Design matrix plus the paired continuous/binary responses."""
+    """Design matrix plus the paired continuous/binary responses.
+
+    A prediction input may leave either response out (None); a dataset to fit
+    has both and at least two rows.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -26,19 +30,23 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
-        self.z = np.asarray(self.z)
+        if self.y is not None:
+            self.y = np.asarray(self.y, dtype=float)
+        if self.z is not None:
+            self.z = np.asarray(self.z)
         if not np.all(np.isfinite(self.X)):
             raise ValueError("design matrix contains non-finite entries")
-        if not np.all(np.isfinite(self.y)):
+        if self.y is not None and not np.all(np.isfinite(self.y)):
             raise ValueError("y contains non-finite entries")
-        if self.X.shape[0] < 2 or self.X.shape[1] < 1:
+        min_rows = 2 if self.y is not None and self.z is not None else 0
+        if self.X.shape[0] < min_rows or self.X.shape[1] < 1:
             raise ValueError("need n >= 2 rows and p >= 1 columns")
-        if self.X.shape[0] != self.y.shape[0] or self.X.shape[0] != self.z.shape[0]:
+        if any(r is not None and r.shape[0] != self.X.shape[0] for r in (self.y, self.z)):
             raise ValueError("X, y, z row counts disagree")
-        if not np.all(np.isin(self.z, (0, 1))):
-            raise ValueError("z must contain only 0 and 1")
-        self.z = self.z.astype(int)
+        if self.z is not None:
+            if not np.all(np.isin(self.z, (0, 1))):
+                raise ValueError("z must contain only 0 and 1")
+            self.z = self.z.astype(int)
         if self.columns is None:
             self.columns = [f"x{j + 1}" for j in range(self.X.shape[1])]
 
@@ -182,23 +190,82 @@ def prior_variance_diagonal(orders: EffectOrders, tau_sq: float, r: float) -> np
     return tau_sq * np.power(float(r), orders.orders.astype(float))
 
 
-def build_prior_covariance(orders: EffectOrders, tau_sq: float, r: float) -> np.ndarray:
-    """Prior covariance V = tau^2 * diag(r^orders); variance shrinks with order."""
-    return np.diag(prior_variance_diagonal(orders, tau_sq, r))
+SCALAR_NAMES = ("sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2")
 
 
-def predict(chain, x_new):
-    """Posterior-mean prediction at a new input.
+def draw_columns(p: int) -> list:
+    """Column names of a draws matrix: both coefficient blocks, then the scalars."""
+    return ([f"beta1_{j + 1}" for j in range(p)] + [f"beta2_{j + 1}" for j in range(p)]
+            + list(SCALAR_NAMES))
 
-    Returns (y_hat, p_z1): y_hat averages x'beta2 over stored draws and
-    p_z1 averages Phi(x'beta1) (the latent U has unit marginal variance).
-    The implied classifier is z_hat = 1 iff p_z1 >= 0.5.
+
+@dataclass
+class Draws:
+    """Stored posterior draws: one C-ordered (S, 2p+6) matrix, one row per kept
+    iteration, columns named by draw_columns(p). The coefficient blocks and the
+    scalars read as column views of it."""
+
+    draws: np.ndarray
+
+    @property
+    def p(self) -> int:
+        return (self.draws.shape[1] - len(SCALAR_NAMES)) // 2
+
+    @property
+    def n_stored(self) -> int:
+        return self.draws.shape[0]
+
+    @property
+    def names(self) -> list:
+        return draw_columns(self.p)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.draws[:, self.names.index(name)]
+
+    @property
+    def beta1(self) -> np.ndarray:
+        return self.draws[:, :self.p]
+
+    @property
+    def beta2(self) -> np.ndarray:
+        return self.draws[:, self.p:2 * self.p]
+
+    sigma2 = property(lambda self: self.column("sigma2"))
+    rho = property(lambda self: self.column("rho"))
+    tau1_sq = property(lambda self: self.column("tau1_sq"))
+    tau2_sq = property(lambda self: self.column("tau2_sq"))
+    r1 = property(lambda self: self.column("r1"))
+    r2 = property(lambda self: self.column("r2"))
+
+
+def predict_draws(chain, X, y=None, z=None):
+    """Posterior-mean predictions for every row of X.
+
+    Each response is predicted conditionally on the other when it is
+    observed: with y in hand, P(z=1|y,x) averages Phi of the probit score
+    s(y|theta,x); with z in hand, E[y|z,x] adds the rho*sigma-scaled
+    inverse Mills adjustment to x'beta2. When the other response is absent
+    the marginal rules Phi(x'beta1) and x'beta2 apply. For a chain with
+    rho pinned at 0 both forms coincide, so the separate-model baseline is
+    untouched by the conditioning. The implied classifier is
+    z_hat = 1 iff p_z1 >= 0.5.
     """
-    beta1 = np.atleast_2d(np.asarray(chain.beta1, dtype=float))
-    beta2 = np.atleast_2d(np.asarray(chain.beta2, dtype=float))
-    if beta1.shape[0] < 1:
-        raise ValueError("chain has no stored draws")
-    x_new = np.asarray(x_new, dtype=float)
-    y_hat = float(np.mean(beta2 @ x_new))
-    p_z1 = float(np.mean(special.ndtr(beta1 @ x_new)))
-    return y_hat, p_z1
+    lin1 = X @ chain.beta1.T        # (n, S)
+    lin2 = X @ chain.beta2.T
+    rho = np.asarray(chain.rho, dtype=float)
+    sigma = np.sqrt(np.asarray(chain.sigma2, dtype=float))
+    if y is not None:
+        s = (lin1 + (rho / sigma) * (np.asarray(y, dtype=float)[:, None] - lin2)) \
+            / np.sqrt(1.0 - rho * rho)
+        p_z1 = special.ndtr(s).mean(axis=1)
+    else:
+        p_z1 = special.ndtr(lin1).mean(axis=1)
+    if z is not None:
+        zcol = np.asarray(z)[:, None]
+        # E[eps1 | z]: inverse Mills ratio on the half-line z dictates
+        lam = np.where(zcol == 1, inverse_mills(lin1), -inverse_mills(-lin1))
+        y_hat = (lin2 + (rho * sigma) * lam).mean(axis=1)
+    else:
+        y_hat = lin2.mean(axis=1)
+    z_hat = (p_z1 >= 0.5).astype(int)
+    return y_hat, p_z1, z_hat

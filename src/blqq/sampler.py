@@ -26,8 +26,10 @@ from .distributions import (
     sample_scaled_inv_chi2,
 )
 from .model import (
+    SCALAR_NAMES,
     ChainConfig,
     Dataset,
+    Draws,
     EffectOrders,
     HyperState,
     ParameterState,
@@ -361,7 +363,7 @@ def init_state(data: Dataset, prior: PriorConfig, cfg: ChainConfig):
     resid = y - X @ beta2
     sigma2 = max(float(resid @ resid) / n, 1e-6)
 
-    beta1 = _probit_mle(X, z)
+    beta1 = _fit_probit(X, z)
     xb = X @ beta1
     mag = np.maximum(np.abs(xb), 1e-3)
     u0 = np.where(z == 1, mag, -mag)
@@ -382,37 +384,23 @@ def init_state(data: Dataset, prior: PriorConfig, cfg: ChainConfig):
     return state, hyper
 
 
-def _probit_mle(X, z, max_iter=50):
-    """Probit coefficients by Fisher scoring; ridge-penalized on separation."""
-    n, p = X.shape
-    if len(np.unique(z)) < 2:
-        warnings.warn("binary response is constant; using ridge-penalized probit", RuntimeWarning)
-        return _probit_ridge(X, z, lam=1.0, max_iter=max_iter)
-    beta = np.zeros(p)
-    for _ in range(max_iter):
-        lin = np.clip(X @ beta, -8.0, 8.0)
-        cdf = special.ndtr(lin)
-        pdf = np.exp(-0.5 * lin * lin) / math.sqrt(2.0 * math.pi)
-        cdf = np.clip(cdf, 1e-10, 1.0 - 1e-10)
-        wgt = pdf * pdf / (cdf * (1.0 - cdf))
-        grad = X.T @ (pdf * (z - cdf) / (cdf * (1.0 - cdf)))
-        hess = X.T @ (wgt[:, None] * X) + 1e-8 * np.eye(p)
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            warnings.warn("probit scoring failed; using ridge-penalized probit", RuntimeWarning)
-            return _probit_ridge(X, z, lam=1.0, max_iter=max_iter)
-        beta = beta + delta
-        if not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 50.0:
-            warnings.warn("probit separation detected; using ridge-penalized probit", RuntimeWarning)
-            return _probit_ridge(X, z, lam=1.0, max_iter=max_iter)
-        if np.max(np.abs(delta)) < 1e-8:
-            break
-    return beta
+def _fit_probit(X, z, lam=0.0, max_iter=50):
+    """Probit coefficients by Fisher scoring with ridge penalty lam.
 
+    lam=0 is the maximum likelihood fit, with a 1e-8 jitter on the
+    information; it falls back to the lam=1 ridge fit, with a warning, when z
+    is constant, a scoring step cannot be solved, or the coefficients diverge
+    (separation).
+    """
+    def ridge(reason):
+        warnings.warn(f"{reason}; using ridge-penalized probit", RuntimeWarning)
+        return _fit_probit(X, z, lam=1.0, max_iter=max_iter)
 
-def _probit_ridge(X, z, lam=1.0, max_iter=50):
-    n, p = X.shape
+    mle = lam == 0.0
+    if mle and len(np.unique(z)) < 2:
+        return ridge("binary response is constant")
+    p = X.shape[1]
+    shift = (lam if lam else 1e-8) * np.eye(p)
     beta = np.zeros(p)
     for _ in range(max_iter):
         lin = np.clip(X @ beta, -8.0, 8.0)
@@ -420,36 +408,31 @@ def _probit_ridge(X, z, lam=1.0, max_iter=50):
         pdf = np.exp(-0.5 * lin * lin) / math.sqrt(2.0 * math.pi)
         wgt = pdf * pdf / (cdf * (1.0 - cdf))
         grad = X.T @ (pdf * (z - cdf) / (cdf * (1.0 - cdf))) - lam * beta
-        hess = X.T @ (wgt[:, None] * X) + lam * np.eye(p)
-        delta = np.linalg.solve(hess, grad)
+        hess = X.T @ (wgt[:, None] * X) + shift
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            if not mle:
+                raise
+            return ridge("probit scoring failed")
         beta = beta + delta
+        if mle and (not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 50.0):
+            return ridge("probit separation detected")
         if np.max(np.abs(delta)) < 1e-8:
             break
     return beta
 
 
 @dataclass
-class ChainOutput:
+class ChainOutput(Draws):
     """Stored post-burn-in draws plus acceptance and timing bookkeeping."""
 
-    beta1: np.ndarray           # (S, p)
-    beta2: np.ndarray           # (S, p)
-    sigma2: np.ndarray          # (S,)
-    rho: np.ndarray
-    tau1_sq: np.ndarray
-    tau2_sq: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
     acceptance: dict            # target -> post-adaptation acceptance rate
     accept_counts: dict         # target -> (accepted, proposed)
     final_u: np.ndarray
     config: ChainConfig
     loo_fallbacks: int
     timings: dict = field(default_factory=dict)
-
-    @property
-    def n_stored(self) -> int:
-        return self.sigma2.shape[0]
 
 
 _MH_TARGETS = ("sigma2", "rho", "r1", "r2")
@@ -484,16 +467,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     proposed = {t: 0 for t in _MH_TARGETS}
 
     n_store = (cfg.iterations - cfg.burn_in) // cfg.thin
-    store = {
-        "beta1": np.empty((n_store, p)),
-        "beta2": np.empty((n_store, p)),
-        "sigma2": np.empty(n_store),
-        "rho": np.empty(n_store),
-        "tau1_sq": np.empty(n_store),
-        "tau2_sq": np.empty(n_store),
-        "r1": np.empty(n_store),
-        "r2": np.empty(n_store),
-    }
+    draws = np.empty((n_store, 2 * p + len(SCALAR_NAMES)))
     timings = {"u_sweep": 0.0, "beta": 0.0, "sigma2_rho": 0.0, "hyper": 0.0}
 
     s_idx = 0
@@ -562,22 +536,14 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
                     accepted[t] += 1
 
         if j > cfg.burn_in and (j - cfg.burn_in) % cfg.thin == 0:
-            store["beta1"][s_idx] = state.beta1
-            store["beta2"][s_idx] = state.beta2
-            store["sigma2"][s_idx] = state.sigma2
-            store["rho"][s_idx] = state.rho
-            store["tau1_sq"][s_idx] = hyper.tau1_sq
-            store["tau2_sq"][s_idx] = hyper.tau2_sq
-            store["r1"][s_idx] = hyper.r1
-            store["r2"][s_idx] = hyper.r2
+            draws[s_idx] = np.concatenate((state.beta1, state.beta2, (
+                state.sigma2, state.rho, hyper.tau1_sq, hyper.tau2_sq, hyper.r1, hyper.r2)))
             s_idx += 1
 
     rates = {t: (accepted[t] / proposed[t] if proposed[t] else float("nan"))
              for t in _MH_TARGETS}
     return ChainOutput(
-        beta1=store["beta1"], beta2=store["beta2"], sigma2=store["sigma2"],
-        rho=store["rho"], tau1_sq=store["tau1_sq"], tau2_sq=store["tau2_sq"],
-        r1=store["r1"], r2=store["r2"],
+        draws=draws,
         acceptance=rates,
         accept_counts={t: (accepted[t], proposed[t]) for t in _MH_TARGETS},
         final_u=state.u.copy(),

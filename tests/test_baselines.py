@@ -44,9 +44,9 @@ def test_probit_half_ignores_y():
     b = fit_sm_b(shifted, orders, prior, CFG)
     # probit sub-chain and its hyperparameters are bit-identical
     assert np.array_equal(a.beta1, b.beta1)
-    assert np.array_equal(a.chain.tau1_sq, b.chain.tau1_sq)
-    assert np.array_equal(a.chain.r1, b.chain.r1)
-    assert np.array_equal(a.chain.final_u, b.chain.final_u)
+    assert np.array_equal(a.tau1_sq, b.tau1_sq)
+    assert np.array_equal(a.r1, b.r1)
+    assert np.array_equal(a.final_u, b.final_u)
     # while the linear sub-chain of course moved
     assert not np.array_equal(a.beta2, b.beta2)
 
@@ -59,8 +59,8 @@ def test_linear_half_ignores_z():
     b = fit_sm_b(flipped, orders, prior, CFG)
     assert np.array_equal(a.beta2, b.beta2)
     assert np.array_equal(a.sigma2, b.sigma2)
-    assert np.array_equal(a.chain.tau2_sq, b.chain.tau2_sq)
-    assert np.array_equal(a.chain.r2, b.chain.r2)
+    assert np.array_equal(a.tau2_sq, b.tau2_sq)
+    assert np.array_equal(a.r2, b.r2)
     assert not np.array_equal(a.beta1, b.beta1)
 
 

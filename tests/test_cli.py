@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,50 @@ def test_predict_and_summarize(tmp_path):
     lines = summ.read_text().strip().splitlines()
     names = [l.split(",")[0] for l in lines if not l.startswith("#")]
     assert "rho" in names and "beta2_4" in names
+
+
+def data_rows(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def test_summarize_reproduces_fit_summary(tmp_path):
+    _, out, _ = fit_once(tmp_path, "fit")
+    summ = tmp_path / "summ.csv"
+    assert run(["summarize", "--chain", out / "chain.csv", "--out", summ]) == 0
+    assert data_rows(summ) == data_rows(out / "summary.csv")
+
+
+@pytest.mark.parametrize("keep", [("y",), ("z",), ()])
+def test_predict_with_some_responses(tmp_path, keep):
+    _, out, train = fit_once(tmp_path, "fit")
+    rows = [l.split(",") for l in data_rows(train.parent / "rep0_test.csv")]
+    cols = [k for k, name in enumerate(rows[0]) if name not in ("y", "z") or name in keep]
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(r[k] for k in cols) + "\n" for r in rows))
+    pred = tmp_path / "pred.csv"
+    assert run(["predict", "--chain", out / "chain.csv", "--data", data, "--out", pred]) == 0
+    lines = data_rows(pred)
+    assert lines[0] == ",".join(["row", "y_hat", "p_z1", "z_hat"] + [f"{r}_true" for r in keep])
+    assert len(lines) == 1 + 100 and all(len(l.split(",")) == 4 + len(keep) for l in lines)
+    losses = {"y": "#rmse:", "z": "#me:"}
+    for r, tag in losses.items():
+        assert (tag in pred.read_text()) == (r in keep)
+
+
+@pytest.mark.parametrize("drop_rows, drop_column, message", [
+    (True, None, "no draws"), (False, "rho", "lacks column.*rho")])
+def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, message):
+    _, out, train = fit_once(tmp_path, "fit")
+    lines = [l.split(",") for l in data_rows(out / "chain.csv")]
+    keep = [k for k, name in enumerate(lines[0]) if name != drop_column]
+    chain = tmp_path / "chain.csv"
+    chain.write_text("".join(",".join(r[k] for k in keep) + "\n"
+                             for r in lines[:1 if drop_rows else None]))
+    test = train.parent / "rep0_test.csv"
+    for argv in (["summarize", "--chain", chain, "--out", tmp_path / "s.csv"],
+                 ["predict", "--chain", chain, "--data", test, "--out", tmp_path / "p.csv"]):
+        assert run(argv) == 2
+        assert re.search(message, capsys.readouterr().err)
 
 
 def test_predict_dimension_mismatch(tmp_path, capsys):

@@ -9,8 +9,6 @@ from scipy import integrate, stats
 from blqq.distributions import (
     RandomStream,
     inverse_mills,
-    log_beta_density,
-    sample_mvn,
     sample_scaled_inv_chi2,
     sample_truncated_normal,
     std_normal_cdf,
@@ -140,27 +138,6 @@ def test_scaled_inv_chi2_ks_against_exact_cdf():
     assert stat <= 0.005
 
 
-def test_mvn_identity_covariance():
-    rng = RandomStream(15)
-    draws = np.array([sample_mvn(np.zeros(2), np.eye(2), rng) for _ in range(20_000)])
-    emp = np.cov(draws.T)
-    assert np.allclose(emp, np.eye(2), atol=0.05)
-
-
-def test_mvn_correlated_covariance():
-    rng = RandomStream(16)
-    cov = np.array([[1.0, 0.25], [0.25, 1.0]])
-    draws = np.array([sample_mvn(np.zeros(2), cov, rng) for _ in range(40_000)])
-    assert np.cov(draws.T)[0, 1] == pytest.approx(0.25, abs=0.02)
-
-
-def test_mvn_rejects_indefinite():
-    rng = RandomStream(17)
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(ValueError):
-        sample_mvn(np.zeros(2), bad, rng)
-
-
 def test_inverse_mills_values():
     # ratio oracle straight from the definition at moderate arguments
     for a in (-3.0, -1.0, 0.0, 0.5, 2.0):
@@ -171,16 +148,6 @@ def test_inverse_mills_values():
     assert inverse_mills(40.0) == pytest.approx(stats.norm.pdf(40.0), abs=1e-300)
     arr = inverse_mills(np.array([-1.0, 1.0]))
     assert arr.shape == (2,)
-
-
-def test_log_beta_density_values():
-    assert log_beta_density(0.5, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_beta_density(0.5, 2.0, 2.0) == pytest.approx(math.log(1.5), abs=1e-12)
-    # log-gamma oracle
-    expected = float(stats.beta(0.1, 0.1).logpdf(0.3))
-    assert log_beta_density(0.3, 0.1, 0.1) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        log_beta_density(1.2, 1.0, 1.0)
 
 
 def test_stream_reproducibility():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blqq import io as bio
-from blqq.model import Dataset, EffectOrders
+from blqq.model import Draws, EffectOrders, draw_columns
 from blqq.simulate import SimulationScenario, gen_replicate
 
 
@@ -62,32 +62,50 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 def test_parse_without_responses(tmp_path):
     path = tmp_path / "x.csv"
     write_lines(path, ["x1,x2", "1.0,2.0", "0.5,1.5"])
-    (X, y, z, columns), orders = bio.parse_dataset_csv(path, require_responses=False)
-    assert X.shape == (2, 2)
-    assert y is None and z is None
-    assert columns == ["x1", "x2"]
+    data, orders = bio.parse_dataset_csv(path, require_responses=False)
+    assert data.X.shape == (2, 2)
+    assert data.y is None and data.z is None
+    assert data.columns == ["x1", "x2"]
     assert np.array_equal(orders.orders, [1, 1])
 
+    write_lines(path, ["x1,y", "1.0,2.0"])
+    data, _ = bio.parse_dataset_csv(path, require_responses=False)
+    assert data.y.tolist() == [2.0] and data.z is None
 
-class _FakeChain:
-    def __init__(self, rng, p, n):
-        self.beta1 = rng.standard_normal((n, p))
-        self.beta2 = rng.standard_normal((n, p))
-        self.sigma2 = rng.uniform(0.5, 2.0, n)
-        self.rho = rng.uniform(-0.9, 0.9, n)
-        self.tau1_sq = rng.uniform(0.1, 1.0, n)
-        self.tau2_sq = rng.uniform(0.1, 1.0, n)
-        self.r1 = rng.uniform(0.1, 0.9, n)
-        self.r2 = rng.uniform(0.1, 0.9, n)
+
+def random_draws(rng, p, n):
+    return Draws(np.column_stack([
+        rng.standard_normal((n, 2 * p)),
+        rng.uniform(0.5, 2.0, n), rng.uniform(-0.9, 0.9, n),
+        rng.uniform(0.1, 1.0, (n, 2)), rng.uniform(0.1, 0.9, (n, 2)),
+    ]))
 
 
 def test_chain_round_trip_exact(tmp_path):
-    chain = _FakeChain(np.random.default_rng(0), p=2, n=25)
+    chain = random_draws(np.random.default_rng(0), p=2, n=25)
     path = tmp_path / "chain.csv"
     bio.write_chain_csv(path, chain, meta={"seed": 1})
     back = bio.read_chain_csv(path)
+    assert np.array_equal(back.draws, chain.draws)
+    assert back.draws.flags.c_contiguous
     for name in ("beta1", "beta2", "sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2"):
         assert np.array_equal(getattr(back, name), getattr(chain, name)), name
+
+
+def test_read_chain_reorders_columns(tmp_path):
+    chain = random_draws(np.random.default_rng(3), p=1, n=4)
+    path = tmp_path / "chain.csv"
+    names = list(reversed(chain.names))
+    write_lines(path, [",".join(names)]
+                + [",".join(repr(float(v)) for v in row[::-1]) for row in chain.draws])
+    assert np.array_equal(bio.read_chain_csv(path).draws, chain.draws)
+
+
+def test_read_chain_short_row(tmp_path):
+    path = tmp_path / "chain.csv"
+    write_lines(path, ["#seed: 1", ",".join(draw_columns(1)), "1.0,2.0"])
+    with pytest.raises(bio.DatasetFormatError, match="line 3: expected 8 cells"):
+        bio.read_chain_csv(path)
 
 
 def test_summary_and_diagnostics_files(tmp_path):
@@ -129,6 +147,9 @@ def test_predictions_file_with_losses(tmp_path):
     assert "row,y_hat,p_z1,z_hat,y_true,z_true" in text
     assert "#rmse: 0.1" in text
     assert "#me: 0.0" in text
+
+    bio.write_predictions_csv(path, [1.0], [0.9], [1], y_true=[1.1])
+    assert "row,y_hat,p_z1,z_hat,y_true\n0,1.0,0.9,1,1.1\n" in path.read_text()
 
 
 def test_truth_round_trip(tmp_path):

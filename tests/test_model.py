@@ -8,13 +8,14 @@ import oracles
 from blqq.model import (
     ChainConfig,
     Dataset,
+    Draws,
     EffectOrders,
     HyperState,
     ParameterState,
     PriorConfig,
-    build_prior_covariance,
     joint_log_likelihood,
-    predict,
+    predict_draws,
+    prior_variance_diagonal,
     s_score,
 )
 
@@ -111,14 +112,13 @@ def test_joint_log_likelihood_extreme_scores_finite():
     assert np.isfinite(joint_log_likelihood(data, params))
 
 
-def test_build_prior_covariance_pattern():
+def test_prior_variance_diagonal_pattern():
     orders = EffectOrders([0, 1, 1, 2])
-    V = build_prior_covariance(orders, 1.0, 0.5)
-    assert np.allclose(V, np.diag([1.0, 0.5, 0.5, 0.25]))
+    assert np.allclose(prior_variance_diagonal(orders, 1.0, 0.5), [1.0, 0.5, 0.5, 0.25])
     with pytest.raises(ValueError):
-        build_prior_covariance(orders, 1.0, 1.5)
+        prior_variance_diagonal(orders, 1.0, 1.5)
     with pytest.raises(ValueError):
-        build_prior_covariance(orders, -1.0, 0.5)
+        prior_variance_diagonal(orders, -1.0, 0.5)
 
 
 def test_prior_config_validation():
@@ -126,23 +126,38 @@ def test_prior_config_validation():
         PriorConfig(nu=-1.0)
 
 
-class _FakeChain:
-    def __init__(self, beta1, beta2):
-        self.beta1 = beta1
-        self.beta2 = beta2
+def draws_of(beta1, beta2, sigma2, rho):
+    """A Draws matrix holding the given coefficient and sigma2/rho draws (hypers filled in)."""
+    S = len(sigma2)
+    hypers = np.tile([1.0, 1.0, 0.5, 0.5], (S, 1))
+    return Draws(np.column_stack([beta1, beta2, sigma2, rho, hypers]))
+
+
+def test_draws_column_views():
+    chain = draws_of([[1.0, 2.0]], [[3.0, 4.0]], [5.0], [0.5])
+    assert chain.p == 2 and chain.n_stored == 1
+    assert chain.names == ["beta1_1", "beta1_2", "beta2_1", "beta2_2",
+                           "sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2"]
+    assert chain.beta2.tolist() == [[3.0, 4.0]]
+    assert chain.sigma2.tolist() == [5.0] and chain.r2.tolist() == [0.5]
+    assert np.shares_memory(chain.rho, chain.draws)
 
 
 def test_predict_degenerate_chain():
     # single draw: prediction is just the plug-in value
-    chain = _FakeChain(np.array([[0.0, 1.0]]), np.array([[2.0, -1.0]]))
-    y_hat, p_z1 = predict(chain, np.array([1.0, 1.0]))
-    assert y_hat == pytest.approx(1.0)
+    chain = draws_of([[0.0, 1.0]], [[2.0, -1.0]], [1.0], [0.0])
+    X = np.array([[1.0, 1.0]])
     from blqq.distributions import std_normal_cdf
-    assert p_z1 == pytest.approx(std_normal_cdf(1.0), rel=1e-12)
+    for y, z in ((None, None), (np.array([0.3]), np.array([1]))):
+        y_hat, p_z1, z_hat = predict_draws(chain, X, y=y, z=z)
+        # rho = 0: observing the other response changes nothing
+        assert y_hat[0] == pytest.approx(1.0)
+        assert p_z1[0] == pytest.approx(std_normal_cdf(1.0), rel=1e-12)
+        assert z_hat[0] == 1
 
 
 def test_predict_averages_over_draws():
-    chain = _FakeChain(np.array([[1.0], [-1.0]]), np.array([[2.0], [4.0]]))
-    y_hat, p_z1 = predict(chain, np.array([1.0]))
-    assert y_hat == pytest.approx(3.0)
-    assert p_z1 == pytest.approx(0.5, abs=1e-12)  # Phi(1) + Phi(-1) averages to 1/2
+    chain = draws_of([[1.0], [-1.0]], [[2.0], [4.0]], [1.0, 1.0], [0.0, 0.0])
+    y_hat, p_z1, _ = predict_draws(chain, np.array([[1.0]]))
+    assert y_hat[0] == pytest.approx(3.0)
+    assert p_z1[0] == pytest.approx(0.5, abs=1e-12)  # Phi(1) + Phi(-1) averages to 1/2

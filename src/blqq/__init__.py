@@ -20,7 +20,6 @@ from .model import (
     draw_columns,
     joint_log_likelihood,
     predict_draws,
-    s_score,
 )
 from .sampler import (
     ChainOutput,
@@ -29,7 +28,6 @@ from .sampler import (
     SamplerWorkspace,
     compute_beta_full_conditional,
     init_state,
-    loo_downdate,
     run_chain,
     sample_beta,
     sample_r_mh,

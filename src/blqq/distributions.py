@@ -78,23 +78,16 @@ def _trunc_std_lower(alpha: float, gen: np.random.Generator) -> float:
             return x
 
 
-def _trunc_std_lower_vec(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    if alpha < _TAIL_SWITCH:
-        q = special.ndtr(-alpha)
-        v = gen.random(size)
-        v[v <= 0.0] = np.finfo(float).tiny
-        return -special.ndtri(v * q)
-    lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        m = size - filled
-        x = alpha + gen.exponential(1.0 / lam, size=m)
-        keep = gen.random(m) <= np.exp(-0.5 * (x - lam) ** 2)
-        k = int(keep.sum())
-        out[filled:filled + k] = x[keep]
-        filled += k
-    return out
+def _draw_halfline(m: float, v: float, nonnegative: bool, gen: np.random.Generator) -> float:
+    """One draw of N(m, v) restricted to [0, inf), or to (-inf, 0) when
+    nonnegative is False; the latent sweep calls this once per observation."""
+    sd = math.sqrt(v)
+    if nonnegative:
+        return m + sd * _trunc_std_lower(-m / sd, gen)
+    # Mirror: X < 0 under N(m, v) <=> -X >= 0 under N(-m, v), and we nudge an
+    # (measure-zero) exact 0 into the open half-line.
+    val = -(-m + sd * _trunc_std_lower(m / sd, gen))
+    return val if val < 0.0 else -np.finfo(float).tiny
 
 
 def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
@@ -102,28 +95,19 @@ def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
 
     side="nonnegative" keeps [0, inf), side="negative" keeps (-inf, 0).
     Uses inverse-CDF within 5 sd of the mean and exponential-proposal
-    rejection beyond, so it stays exact deep in the tail.
+    rejection beyond, so it stays exact deep in the tail. size=k returns k
+    successive draws of the scalar sampler the latent sweep uses.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
     if side not in ("nonnegative", "negative"):
         raise ValueError(f"unknown side {side!r}")
-    sd = math.sqrt(variance)
+    nonnegative = side == "nonnegative"
     gen = rng.generator
-    if side == "nonnegative":
-        alpha = -mean / sd
-        if size is None:
-            return mean + sd * _trunc_std_lower(alpha, gen)
-        return mean + sd * _trunc_std_lower_vec(alpha, size, gen)
-    # Mirror: X < 0 under N(mean, v) <=> -X >= 0 under N(-mean, v), and we
-    # nudge an (measure-zero) exact 0 into the open half-line.
-    alpha = mean / sd
     if size is None:
-        val = -(-mean + sd * _trunc_std_lower(alpha, gen))
-        return val if val < 0.0 else -np.finfo(float).tiny
-    vals = -(-mean + sd * _trunc_std_lower_vec(alpha, size, gen))
-    vals[vals >= 0.0] = -np.finfo(float).tiny
-    return vals
+        return _draw_halfline(mean, variance, nonnegative, gen)
+    return np.fromiter((_draw_halfline(mean, variance, nonnegative, gen) for _ in range(size)),
+                       dtype=float, count=size)
 
 
 def sample_scaled_inv_chi2(dof, scale, rng: RandomStream, size=None):

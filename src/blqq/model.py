@@ -20,7 +20,7 @@ class Dataset:
     """Design matrix plus the paired continuous/binary responses.
 
     A prediction input may leave either response out (None); a dataset to fit
-    has both and at least two rows.
+    has both, and run_chain asks for at least two rows.
     """
 
     X: np.ndarray
@@ -38,9 +38,8 @@ class Dataset:
             raise ValueError("design matrix contains non-finite entries")
         if self.y is not None and not np.all(np.isfinite(self.y)):
             raise ValueError("y contains non-finite entries")
-        min_rows = 2 if self.y is not None and self.z is not None else 0
-        if self.X.shape[0] < min_rows or self.X.shape[1] < 1:
-            raise ValueError("need n >= 2 rows and p >= 1 columns")
+        if self.X.shape[0] < 1 or self.X.shape[1] < 1:
+            raise ValueError("need n >= 1 rows and p >= 1 columns")
         if any(r is not None and r.shape[0] != self.X.shape[0] for r in (self.y, self.z)):
             raise ValueError("X, y, z row counts disagree")
         if self.z is not None:
@@ -155,17 +154,6 @@ class ChainConfig:
             raise ValueError("iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-
-
-def s_score(x, y_val, params: ParameterState) -> float:
-    """Probit score for P(z=1 | y): (x'b1 + (rho/sigma)(y - x'b2)) / sqrt(1-rho^2)."""
-    rho = params.rho
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie in (-1, 1)")
-    x = np.asarray(x, dtype=float)
-    sigma = math.sqrt(params.sigma2)
-    resid = y_val - float(x @ params.beta2)
-    return (float(x @ params.beta1) + (rho / sigma) * resid) / math.sqrt(1.0 - rho * rho)
 
 
 def joint_log_likelihood(data: Dataset, params: ParameterState) -> float:

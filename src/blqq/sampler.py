@@ -1,13 +1,16 @@
 """Gibbs/MH engine for the joint latent-variable model.
 
 The latent sweep integrates the regression coefficients out and samples each
-u_i from its leave-one-out truncated normal. The leave-one-out moments are
-obtained from the full-data full conditional of beta through a rank-one
-covariance downdate: because the error precision factorizes as a 2x2 matrix
-kroneckered with the identity, the downdate scalars collapse to
-c = 1/(1-rho^2) and b_i = [x_i; -(rho/sigma) x_i], and no n-sized matrix is
-ever formed. The same structure gives the O(p) incremental update of the
-right-hand statistic as each u_i is refreshed mid-sweep.
+u_i from its leave-one-out truncated normal. Because the error precision
+factorizes as a 2x2 matrix kroneckered with the identity, removing
+observation i from the u-equation is a rank-one downdate of the full-data
+full conditional of beta with scalars c = 1/(1-rho^2) and
+b_i = [x_i; -(rho/sigma) x_i]. The sweep evaluates the leave-one-out moments
+(m_i, v_i) of u_i from that downdate in closed form, with no n-sized matrix
+ever formed, and falls back to inverting the downdated 2p x 2p precision when
+the shortcut's denominator degenerates. The same structure gives the O(p)
+incremental update of the right-hand statistic as each u_i is refreshed
+mid-sweep. The half-line draw itself is distributions._draw_halfline.
 """
 from __future__ import annotations
 
@@ -20,11 +23,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .distributions import (
-    RandomStream,
-    _trunc_std_lower,
-    sample_scaled_inv_chi2,
-)
+from .distributions import RandomStream, _draw_halfline, sample_scaled_inv_chi2
 from .model import (
     SCALAR_NAMES,
     ChainConfig,
@@ -69,7 +68,6 @@ class SamplerWorkspace:
     gram: np.ndarray            # X'X
     xty: np.ndarray             # X'y
     xtu: np.ndarray             # X'u, maintained incrementally during sweeps
-    u: np.ndarray               # view of the current latent vector
     eta: np.ndarray             # u - X beta1
     phi: np.ndarray             # y - X beta2
     loo_fallbacks: int = 0
@@ -84,7 +82,6 @@ class SamplerWorkspace:
             gram=X.T @ X,
             xty=X.T @ y,
             xtu=X.T @ state.u,
-            u=state.u,
             eta=state.u - X @ state.beta1,
             phi=y - X @ state.beta2,
         )
@@ -103,23 +100,17 @@ def _statistic(ws: SamplerWorkspace, sigma2: float, rho: float) -> np.ndarray:
     return np.concatenate([t1, t2])
 
 
-def _as_diag(V) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    return np.diag(V) if V.ndim == 2 else V
-
-
-def compute_beta_full_conditional(ws: SamplerWorkspace, u, y, sigma2, rho, V1, V2) -> FullConditionalBeta:
-    """Mean and covariance of beta | u, y, sigma2, rho with prior N(0, diag(V1, V2)).
+def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> FullConditionalBeta:
+    """Mean and covariance of beta | u, y, sigma2, rho with prior N(0, diag(v1, v2)).
 
     Built directly from the p x p Gram matrix via the Kronecker structure of
-    the error precision; nothing of size n enters the linear algebra.
+    the error precision; nothing of size n enters the linear algebra. The
+    data enter through the workspace, whose xtu must equal X'u.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    v1 = _as_diag(V1)
-    v2 = _as_diag(V2)
     p = ws.gram.shape[0]
     s = math.sqrt(sigma2)
     one_m = 1.0 - rho * rho
@@ -144,7 +135,6 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, u, y, sigma2, rho, V1, V
     sigma_beta = Linv.T @ Linv
     sigma_beta = 0.5 * (sigma_beta + sigma_beta.T)
 
-    ws.xtu = ws.X.T @ np.asarray(u, dtype=float)
     t = _statistic(ws, sigma2, rho)
     mu_beta = sigma_beta @ t
     return FullConditionalBeta(
@@ -155,49 +145,16 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, u, y, sigma2, rho, V1, V
     )
 
 
-def loo_downdate(fc: FullConditionalBeta, ws: SamplerWorkspace, i: int, sigma2, rho):
-    """Leave-one-out (mu_beta_-i, sigma_beta_-i) after removing observation i
-    from the u-equation, via the rank-one shortcut.
-
-    Falls back to a direct inversion of the downdated 2p x 2p precision when
-    the shortcut denominator degenerates; the fallback count is tracked on the
-    workspace.
-    """
-    s = math.sqrt(sigma2)
-    w = rho / s
-    c = 1.0 / (1.0 - rho * rho)
-    x_i = ws.X[i]
-    b = np.concatenate([x_i, -w * x_i])
-    t_mi = _statistic(ws, sigma2, rho) - (c * (ws.u[i] - w * ws.y[i])) * b
-
-    q = fc.sigma_beta @ b
-    d = float(b @ q)
-    denom = 1.0 - c * d
-    if denom < _DENOM_FLOOR:
-        ws.loo_fallbacks += 1
-        sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-        sigma_mi = 0.5 * (sigma_mi + sigma_mi.T)
-    else:
-        sigma_mi = fc.sigma_beta + (c / denom) * np.outer(q, q)
-    return sigma_mi @ t_mi, sigma_mi
-
-
-def _draw_halfline(m: float, v: float, nonnegative: bool, gen) -> float:
-    sd = math.sqrt(v)
-    if nonnegative:
-        return m + sd * _trunc_std_lower(-m / sd, gen)
-    val = -(-m + sd * _trunc_std_lower(m / sd, gen))
-    return val if val < 0.0 else -np.finfo(float).tiny
-
-
-def sample_u_sweep(data: Dataset, state: ParameterState, fc: FullConditionalBeta,
+def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
                    ws: SamplerWorkspace, rng: RandomStream) -> np.ndarray:
     """One in-order sweep of u_1..u_n from their leave-one-out conditionals.
 
     Each u_i is drawn from N(m_i, v_i) truncated to the half-line dictated by
     z_i, with beta integrated out; the statistic X' Sigma_eps^{-1}[u; y] is
     updated in O(p) immediately after each draw so later indices condition on
-    the partially updated u.
+    the partially updated u. Where the closed-form downdate's denominator
+    falls below _DENOM_FLOOR the moments come from inverting the downdated
+    precision instead, and ws.loo_fallbacks counts it.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -447,6 +404,8 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     """Full Gibbs run: init, then per iteration the u-sweep, the joint beta
     draw, MH moves for sigma^2 and rho, conjugate tau^2 draws, and MH moves
     for r1/r2. MH steps adapt toward 0.35 acceptance during burn-in only."""
+    if data.n < 2:
+        raise ValueError("need n >= 2 rows and p >= 1 columns")
     state, hyper = init_state(data, prior, cfg)
     joint = not cfg.freeze_rho_at_zero
     if not joint:
@@ -458,7 +417,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
 
     ws = SamplerWorkspace.build(data, state)
-    X, y = data.X, data.y
+    X = data.X
     p = data.p
 
     steps = {"sigma2": cfg.mh_step_sigma2, "rho": cfg.mh_step_rho,
@@ -477,9 +436,9 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
             v2 = prior_variance_diagonal(orders, hyper.tau2_sq, hyper.r2)
 
             tic = time.perf_counter()
-            fc = compute_beta_full_conditional(ws, state.u, y, state.sigma2, state.rho, v1, v2)
+            fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
             if cfg.update_u:
-                sample_u_sweep(data, state, fc, ws, rngs["u"])
+                sample_u_sweep(state, fc, ws, rngs["u"])
                 xtu_ref = X.T @ state.u
                 err = np.linalg.norm(ws.xtu - xtu_ref)
                 if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):

@@ -2,9 +2,14 @@
 
 Everything here materializes the full 2n-sized objects on purpose: these
 oracles must stay independent of the shortcut formulas they validate.
+sweep_loo_moments is the other side of the comparison: it reads the
+leave-one-out moments off the sampler's own sweep.
 """
 import numpy as np
 from scipy import integrate, stats
+
+import blqq.sampler as sampler_mod
+from blqq.distributions import RandomStream
 
 
 def dense_blocks(X, sigma2, rho):
@@ -56,6 +61,33 @@ def dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i):
     b = np.concatenate([X[i], -w * X[i]])
     m = w * y[i] + b @ mu_mi
     v = b @ sigma_mi @ b + (1.0 - rho * rho)
+    return m, v
+
+
+def sweep_loo_moments(state, fc, ws, denom_floor=None):
+    """(m_i, v_i) that sample_u_sweep hands to its half-line draw, for every i.
+
+    The draw is replaced by a recorder that returns the current u_i, so u and
+    the statistic never move and every i conditions on the same u as the
+    dense route. denom_floor overrides the sampler's _DENOM_FLOOR (2.0 forces
+    the fallback branch for every i).
+    """
+    u0 = state.u.copy()
+    seen = []
+
+    def record(m, v, nonnegative, gen):
+        seen.append((m, v))
+        return u0[len(seen) - 1]
+
+    saved = sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR
+    sampler_mod._draw_halfline = record
+    if denom_floor is not None:
+        sampler_mod._DENOM_FLOOR = denom_floor
+    try:
+        sampler_mod.sample_u_sweep(state, fc, ws, RandomStream(0))
+    finally:
+        sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR = saved
+    m, v = np.array(seen).T
     return m, v
 
 

@@ -22,12 +22,11 @@ from blqq.distributions import (
 )
 from blqq.baselines import fit_sm_b
 from blqq.metrics import effective_sample_size
-from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
+from blqq.model import ChainConfig, Dataset, EffectOrders, ParameterState, PriorConfig
 from blqq.sampler import (
     SamplerWorkspace,
     compute_beta_full_conditional,
     init_state,
-    loo_downdate,
     run_chain,
 )
 from blqq.simulate import SimulationScenario, gen_birth_records, gen_replicate
@@ -46,11 +45,13 @@ def replicate_args(seed, iterations=5000, burn_in=500):
 
 
 def test_criterion_1_loo_shortcut_oracle():
-    # 50 random instances, every i, 1e-8 relative error, < 1 minute
+    # 50 random instances, every i, 1e-8 relative error, < 1 minute; the
+    # (m_i, v_i) are the ones the sweep draws from, in its closed-form branch
+    # and with its fallback branch forced
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     rhos = [-0.9, 0.0, 0.5, 0.85]
-    worst = 0.0
+    worst = {None: 0.0, 2.0: 0.0}
     for case in range(50):
         n = int(rng.integers(5, 31))
         p = int(rng.integers(1, 6))
@@ -62,29 +63,20 @@ def test_criterion_1_loo_shortcut_oracle():
         sigma2 = float(rng.uniform(0.3, 4.0))
         v1 = rng.uniform(0.2, 3.0, size=p)
         v2 = rng.uniform(0.2, 3.0, size=p)
-        ws = SamplerWorkspace.build(
-            Dataset(X, y, z),
-            type("S", (), {"u": u, "beta1": np.zeros(p), "beta2": np.zeros(p)})())
-        fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-        s = math.sqrt(sigma2)
-        w = rho / s
-        for i in range(n):
-            mu_f, sig_f = loo_downdate(fc, ws, i, sigma2, rho)
-            mu_d, sig_d = oracles.dense_loo_conditional(X, y, u, sigma2, rho, v1, v2, i)
-            scale_mu = max(float(np.max(np.abs(mu_d))), 1.0)
-            scale_sig = max(float(np.max(np.abs(sig_d))), 1.0)
-            worst = max(worst,
-                        float(np.max(np.abs(mu_f - mu_d))) / scale_mu,
-                        float(np.max(np.abs(sig_f - sig_d))) / scale_sig)
-            b = np.concatenate([X[i], -w * X[i]])
-            m = w * y[i] + float(b @ mu_f)
-            v = float(b @ sig_f @ b) + 1.0 - rho * rho
-            m_d, v_d = oracles.dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i)
-            worst = max(worst, abs(m - m_d) / max(abs(m_d), 1.0),
-                        abs(v - v_d) / max(abs(v_d), 1.0))
+        dense = np.array([oracles.dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i)
+                          for i in range(n)]).T
+        for floor in worst:
+            state = ParameterState(beta1=np.zeros(p), beta2=np.zeros(p),
+                                   sigma2=sigma2, rho=rho, u=u.copy())
+            ws = SamplerWorkspace.build(Dataset(X, y, z), state)
+            fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+            fast = oracles.sweep_loo_moments(state, fc, ws, denom_floor=floor)
+            err = np.abs(fast - dense) / np.maximum(np.abs(dense), 1.0)
+            worst[floor] = max(worst[floor], float(err.max()))
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-8 and elapsed < 60
-    report(1, ok, f"max relative error {worst:.2e} (tol 1e-8) over 50 instances, "
+    ok = max(worst.values()) < 1e-8 and elapsed < 60
+    report(1, ok, f"max relative error {worst[None]:.2e} closed form / "
+                  f"{worst[2.0]:.2e} fallback (tol 1e-8) over 50 instances, "
                   f"{elapsed:.1f}s (< 60s)")
 
 

@@ -182,6 +182,20 @@ def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, messag
         assert re.search(message, capsys.readouterr().err)
 
 
+def test_one_row_file_predicts_but_does_not_fit(tmp_path, capsys):
+    _, out, train = fit_once(tmp_path, "fit")
+    rows = data_rows(train.parent / "rep0_test.csv")
+    one = tmp_path / "one.csv"
+    one.write_text(rows[0] + "\n" + rows[1] + "\n")
+    pred = tmp_path / "pred.csv"
+    assert run(["predict", "--chain", out / "chain.csv", "--data", one, "--out", pred]) == 0
+    assert len(data_rows(pred)) == 2 and "#me:" in pred.read_text()
+    for model in ("blqq", "smb"):
+        assert run(["fit", "--data", one, "--model", model, "--out-dir", tmp_path / model,
+                    *FAST]) == 2
+        assert "need n >= 2 rows" in capsys.readouterr().err
+
+
 def test_predict_dimension_mismatch(tmp_path, capsys):
     _, out, _ = fit_once(tmp_path, "fit")
     other = tmp_path / "other.csv"

@@ -90,10 +90,12 @@ def test_truncated_normal_moments_match_scipy(mean):
     n = N_MOMENT
     draws = sample_truncated_normal(mean, 1.0, "nonnegative", rng, size=n)
     ref = stats.truncnorm(-mean, np.inf, loc=mean, scale=1.0)
-    m, v = ref.stats(moments="mv")
-    assert draws.mean() == pytest.approx(float(m), abs=3.5 * math.sqrt(float(v) / n))
-    var_se = float(v) * math.sqrt(2.0 / (n - 1))
-    assert draws.var(ddof=1) == pytest.approx(float(v), abs=4 * var_se)
+    m, v, _, kurt = (float(x) for x in ref.stats(moments="mvsk"))
+    assert draws.mean() == pytest.approx(m, abs=3.5 * math.sqrt(v / n))
+    # the sample variance's SE needs the excess kurtosis: deep in the tail the
+    # law is near-exponential (excess kurtosis ~5), not normal
+    var_se = v * math.sqrt((kurt + 2.0) / n)
+    assert draws.var(ddof=1) == pytest.approx(v, abs=4 * var_se)
 
 
 def test_truncated_normal_far_tail_exact():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +14,6 @@ from blqq.model import (
     joint_log_likelihood,
     predict_draws,
     prior_variance_diagonal,
-    s_score,
 )
 
 
@@ -37,8 +34,9 @@ def test_dataset_validation():
         Dataset(X, [1.0, 2.0, 3.0], [0, 1, 2])
     with pytest.raises(ValueError):
         Dataset(X, [1.0, 2.0], [0, 1])
+    assert Dataset(X[:1], [1.0], [0]).n == 1   # fitting needs n >= 2, predicting does not
     with pytest.raises(ValueError):
-        Dataset(X[:1], [1.0], [0])
+        Dataset(X[:0], [], [])
 
 
 def test_parameter_state_validation():
@@ -61,31 +59,6 @@ def test_chain_config_validation():
         ChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ValueError):
         ChainConfig(iterations=0)
-
-
-def test_s_score_independent_case():
-    # rho = 0 reduces to the plain probit score x'beta1
-    params = make_params([1.0, -2.0], [0.5, 0.5], 4.0, 0.0)
-    x = np.array([2.0, 1.0])
-    assert s_score(x, 10.0, params) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_s_score_hand_value():
-    # (x'b1 + (rho/sigma)(y - x'b2)) / sqrt(1 - rho^2)
-    params = make_params([0.5], [1.0], 4.0, 0.6)
-    val = s_score(np.array([1.0]), 3.0, params)
-    expected = (0.5 + (0.6 / 2.0) * (3.0 - 1.0)) / math.sqrt(1 - 0.36)
-    assert val == pytest.approx(expected, rel=1e-12)
-
-
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 5), st.floats(-0.9, 0.9))
-def test_s_score_shift_invariance(b2, y_val, sigma2, rho):
-    # only the residual y - x'beta2 enters; shifting both leaves s unchanged
-    x = np.array([1.0])
-    base = make_params([0.7], [b2], sigma2, rho)
-    shifted = make_params([0.7], [b2 + 1.5], sigma2, rho)
-    assert s_score(x, y_val, base) == pytest.approx(
-        s_score(x, y_val + 1.5, shifted), rel=1e-9, abs=1e-9)
 
 
 def test_joint_log_likelihood_matches_quadrature():
@@ -154,6 +127,17 @@ def test_predict_degenerate_chain():
         assert y_hat[0] == pytest.approx(1.0)
         assert p_z1[0] == pytest.approx(std_normal_cdf(1.0), rel=1e-12)
         assert z_hat[0] == 1
+
+
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 5), st.floats(-0.9, 0.9))
+def test_predict_draws_shift_invariance(b2, y_val, sigma2, rho):
+    # only the residual y - x'beta2 enters P(z=1 | y); shifting both leaves it unchanged
+    X = np.array([[1.0]])
+    base = draws_of([[0.7]], [[b2]], [sigma2], [rho])
+    shifted = draws_of([[0.7]], [[b2 + 1.5]], [sigma2], [rho])
+    _, p_base, _ = predict_draws(base, X, y=np.array([y_val]))
+    _, p_shifted, _ = predict_draws(shifted, X, y=np.array([y_val + 1.5]))
+    assert p_base[0] == pytest.approx(p_shifted[0], rel=1e-9, abs=1e-9)
 
 
 def test_predict_averages_over_draws():

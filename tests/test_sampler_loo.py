@@ -10,7 +10,6 @@ from blqq.sampler import (
     IllConditionedError,
     SamplerWorkspace,
     compute_beta_full_conditional,
-    loo_downdate,
     sample_beta,
     sample_u_sweep,
 )
@@ -30,41 +29,30 @@ def random_instance(seed, n, p):
     return X, y, u, z, sigma2, rho, v1, v2
 
 
-def make_ws(X, y, u, z, beta1=None, beta2=None):
+def make_ws(X, y, u, z, sigma2=1.0, rho=0.0):
     p = X.shape[1]
-    state = ParameterState(
-        beta1=np.zeros(p) if beta1 is None else beta1,
-        beta2=np.zeros(p) if beta2 is None else beta2,
-        sigma2=1.0, rho=0.0, u=u.copy())
-    data = Dataset(X, y, z)
-    return SamplerWorkspace.build(data, state), data, state
+    state = ParameterState(beta1=np.zeros(p), beta2=np.zeros(p),
+                           sigma2=sigma2, rho=rho, u=u.copy())
+    return SamplerWorkspace.build(Dataset(X, y, z), state), state
 
 
 @pytest.mark.parametrize("seed,n,p", [(0, 12, 3), (1, 30, 5), (2, 8, 2), (3, 50, 1)])
 def test_full_conditional_matches_dense(seed, n, p):
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
-    ws, _, _ = make_ws(X, y, u, z)
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
+    ws, _ = make_ws(X, y, u, z)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
     assert np.allclose(fc.mu_beta, mu_d, rtol=1e-10, atol=1e-12)
     assert np.allclose(fc.sigma_beta, sig_d, rtol=1e-9, atol=1e-12)
 
 
-def test_full_conditional_accepts_matrix_prior():
-    X, y, u, z, sigma2, rho, v1, v2 = random_instance(4, 10, 2)
-    ws, _, _ = make_ws(X, y, u, z)
-    a = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-    b = compute_beta_full_conditional(ws, u, y, sigma2, rho, np.diag(v1), np.diag(v2))
-    assert np.array_equal(a.mu_beta, b.mu_beta)
-
-
 def test_full_conditional_rejects_bad_args():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(5, 10, 2)
-    ws, _, _ = make_ws(X, y, u, z)
+    ws, _ = make_ws(X, y, u, z)
     with pytest.raises(ValueError):
-        compute_beta_full_conditional(ws, u, y, -1.0, rho, v1, v2)
+        compute_beta_full_conditional(ws, -1.0, rho, v1, v2)
     with pytest.raises(ValueError):
-        compute_beta_full_conditional(ws, u, y, sigma2, 1.0, v1, v2)
+        compute_beta_full_conditional(ws, sigma2, 1.0, v1, v2)
 
 
 def test_ill_conditioned_raises():
@@ -74,63 +62,34 @@ def test_ill_conditioned_raises():
     y = rng.standard_normal(10)
     u = rng.standard_normal(10)
     z = (u >= 0).astype(int)
-    ws, _, _ = make_ws(X, y, u, z)
+    ws, _ = make_ws(X, y, u, z)
     huge = np.full(2, 1e16)  # prior cannot rescue the collinearity
     with pytest.raises(IllConditionedError) as exc:
-        compute_beta_full_conditional(ws, u, y, 1.0, 0.5, huge, huge)
+        compute_beta_full_conditional(ws, 1.0, 0.5, huge, huge)
     assert exc.value.cond_estimate > 1e12
 
 
 @pytest.mark.parametrize("seed,n,p", [(10, 10, 2), (11, 25, 4), (12, 6, 1)])
 def test_loo_downdate_matches_dense(seed, n, p):
+    # the leave-one-out (m_i, v_i) the sweep draws from, in its closed-form
+    # branch and with its fallback branch forced, against the dense route
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
-    ws, _, _ = make_ws(X, y, u, z)
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-    for i in range(n):
-        mu_f, sig_f = loo_downdate(fc, ws, i, sigma2, rho)
-        mu_d, sig_d = oracles.dense_loo_conditional(X, y, u, sigma2, rho, v1, v2, i)
-        assert np.allclose(mu_f, mu_d, rtol=1e-8, atol=1e-10)
-        assert np.allclose(sig_f, sig_d, rtol=1e-8, atol=1e-10)
-
-
-@pytest.mark.parametrize("seed,n,p", [(20, 15, 3), (21, 9, 2)])
-def test_loo_predictive_moments_match_dense(seed, n, p):
-    # m_i and v_i as the sweep computes them, reproduced from the downdate
-    X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
-    ws, _, _ = make_ws(X, y, u, z)
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-    s = np.sqrt(sigma2)
-    w = rho / s
-    for i in range(n):
-        mu_mi, sig_mi = loo_downdate(fc, ws, i, sigma2, rho)
-        b = np.concatenate([X[i], -w * X[i]])
-        m = w * y[i] + b @ mu_mi
-        v = b @ sig_mi @ b + 1.0 - rho * rho
-        m_d, v_d = oracles.dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i)
-        assert m == pytest.approx(m_d, rel=1e-8, abs=1e-10)
-        assert v == pytest.approx(v_d, rel=1e-8, abs=1e-10)
-
-
-def test_loo_fallback_branch_agrees_with_dense(monkeypatch):
-    # force the degenerate-denominator branch and check it stays exact
-    X, y, u, z, sigma2, rho, v1, v2 = random_instance(30, 12, 3)
-    ws, _, _ = make_ws(X, y, u, z)
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-    monkeypatch.setattr(sampler_mod, "_DENOM_FLOOR", 2.0)
-    for i in range(3):
-        mu_f, sig_f = loo_downdate(fc, ws, i, sigma2, rho)
-        mu_d, sig_d = oracles.dense_loo_conditional(X, y, u, sigma2, rho, v1, v2, i)
-        assert np.allclose(mu_f, mu_d, rtol=1e-8, atol=1e-10)
-        assert np.allclose(sig_f, sig_d, rtol=1e-8, atol=1e-10)
-    assert ws.loo_fallbacks == 3
+    dense = np.array([oracles.dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i)
+                      for i in range(n)]).T
+    for floor, fallbacks in ((None, 0), (2.0, n)):
+        ws, state = make_ws(X, y, u, z, sigma2, rho)
+        fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+        moments = oracles.sweep_loo_moments(state, fc, ws, denom_floor=floor)
+        assert np.allclose(moments, dense, rtol=1e-8, atol=1e-10)
+        assert ws.loo_fallbacks == fallbacks
+        assert np.array_equal(state.u, u)
 
 
 def test_sweep_respects_signs_and_statistic():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(40, 40, 4)
-    ws, data, state = make_ws(X, y, u, z)
-    state.sigma2, state.rho = sigma2, rho
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-    out = sample_u_sweep(data, state, fc, ws, RandomStream(99))
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    out = sample_u_sweep(state, fc, ws, RandomStream(99))
     assert out is state.u
     assert np.all(out[z == 1] >= 0)
     assert np.all(out[z == 0] < 0)
@@ -143,20 +102,18 @@ def test_sweep_deterministic_under_seed():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(41, 20, 2)
     outs = []
     for _ in range(2):
-        ws, data, state = make_ws(X, y, u, z)
-        state.sigma2, state.rho = sigma2, rho
-        fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
-        outs.append(sample_u_sweep(data, state, fc, ws, RandomStream(7)).copy())
+        ws, state = make_ws(X, y, u, z, sigma2, rho)
+        fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+        outs.append(sample_u_sweep(state, fc, ws, RandomStream(7)).copy())
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_sweep_fallback_branch_runs(monkeypatch):
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(42, 10, 2)
-    ws, data, state = make_ws(X, y, u, z)
-    state.sigma2, state.rho = sigma2, rho
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     monkeypatch.setattr(sampler_mod, "_DENOM_FLOOR", 2.0)
-    out = sample_u_sweep(data, state, fc, ws, RandomStream(8))
+    out = sample_u_sweep(state, fc, ws, RandomStream(8))
     assert ws.loo_fallbacks == 10
     assert np.all((out >= 0) == (z == 1))
     assert np.allclose(ws.xtu, X.T @ out, rtol=1e-10, atol=1e-10)
@@ -164,8 +121,8 @@ def test_sweep_fallback_branch_runs(monkeypatch):
 
 def test_sample_beta_mean_and_covariance():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(50, 20, 2)
-    ws, _, _ = make_ws(X, y, u, z)
-    fc = compute_beta_full_conditional(ws, u, y, sigma2, rho, v1, v2)
+    ws, _ = make_ws(X, y, u, z)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     rng = RandomStream(51)
     draws = np.array([np.concatenate(sample_beta(fc, rng)) for _ in range(40_000)])
     assert np.allclose(draws.mean(axis=0), fc.mu_beta, atol=0.01)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the fixed-seed output file set of a blqq checkout.
+r"""Write the fixed-seed output file set of a blqq checkout.
 
     python3 scripts/output_set.py <checkout> <out_dir>
 
@@ -12,7 +12,11 @@ command at fixed seeds:
 - replicate at p=30 with 2 replicates, 600 iterations.
 
 Run it on two checkouts and compare with `diff -r`: a change that leaves the
-draws alone must leave every file byte-identical.
+draws alone must leave every file byte-identical. A change that only drops or
+adds `#` provenance lines is compared with those lines ignored; for the MH
+settings no longer written since the step sizes became a constant:
+
+    diff -r -I '^#\(mh_step_\(sigma2\|rho\|r\)\|adapt_during_burnin\): ' before after
 """
 import os
 import subprocess

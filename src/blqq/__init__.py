@@ -6,7 +6,6 @@ from .distributions import (
     inverse_mills,
     sample_scaled_inv_chi2,
     sample_truncated_normal,
-    std_normal_cdf,
     std_normal_log_cdf,
 )
 from .model import (

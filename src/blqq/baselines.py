@@ -20,5 +20,5 @@ def fit_sm_b(data: Dataset, orders: EffectOrders, prior: PriorConfig,
              cfg: ChainConfig) -> ChainOutput:
     """Fit the separate-model baseline on the same machinery as the joint fit;
     the returned rho draws are identically 0."""
-    cfg_sep = replace(cfg, freeze_rho_at_zero=True, update_rho=False)
+    cfg_sep = replace(cfg, freeze_rho_at_zero=True)
     return run_chain(data, orders, prior, cfg_sep)

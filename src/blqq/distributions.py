@@ -2,7 +2,7 @@
 
 Only the handful of densities and samplers the Gibbs/MH engine actually needs
 live here; everything is built on numpy's Generator and scipy.special so the
-numerics (erf-based normal CDF, log-scale branches) are solid in the tails.
+numerics (normal log-CDF, log-scale branches) are solid in the tails.
 """
 from __future__ import annotations
 
@@ -40,15 +40,6 @@ class RandomStream:
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF, accurate to ~1e-15 (erf-based)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("std_normal_cdf requires finite input")
-    out = special.ndtr(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_log_cdf(x):

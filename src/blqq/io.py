@@ -37,10 +37,6 @@ def config_meta(cfg: ChainConfig, extra=None) -> dict:
         "iterations": cfg.iterations,
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
-        "mh_step_sigma2": cfg.mh_step_sigma2,
-        "mh_step_rho": cfg.mh_step_rho,
-        "mh_step_r": cfg.mh_step_r,
-        "adapt_during_burnin": cfg.adapt_during_burnin,
         "init_tau1_sq": cfg.init_tau1_sq,
         "init_tau2_sq": cfg.init_tau2_sq,
         "init_r1": cfg.init_r1,

@@ -132,10 +132,6 @@ class ChainConfig:
     burn_in: int = 1_000
     thin: int = 1
     seed: int = 0
-    mh_step_sigma2: float = 0.5
-    mh_step_rho: float = 0.5
-    mh_step_r: float = 0.5
-    adapt_during_burnin: bool = True
     init_tau1_sq: float = 0.5
     init_tau2_sq: float = 0.5
     init_r1: float = 0.3

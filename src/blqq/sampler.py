@@ -209,7 +209,23 @@ def _cross_quad(eta, phi, sigma2, rho) -> float:
     return float(np.sum(sigma2 * eta * eta - (2.0 * rho * s) * phi * eta + phi * phi))
 
 
+def _rw_mh(cur, to_free, from_free, log_target, step, gen):
+    """One random-walk Metropolis step for a scalar, taken on the free scale
+    to_free(x) with a N(0, step^2) increment.
+
+    log_target(x) is the log density of x plus the log Jacobian of from_free.
+    A proposal whose log target is -inf is rejected: the log ratio is then
+    -inf and log u never falls below it.
+    """
+    prop = from_free(to_free(cur) + step * gen.standard_normal())
+    log_ratio = log_target(prop) - log_target(cur)
+    if math.log(max(gen.random(), 1e-300)) < log_ratio:
+        return prop, True
+    return cur, False
+
+
 def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig, joint: bool) -> float:
+    """Log conditional of sigma^2 plus log sigma^2, the log Jacobian of exp."""
     nu0 = prior.sigma2_prior_dof
     if joint:
         bracket = _cross_quad(eta, phi, sigma2, rho) / (1.0 - rho * rho) \
@@ -218,49 +234,34 @@ def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig, joint: bool
         # rho frozen at 0 with cross-terms disabled: the latent residuals drop
         # out of the conditional exactly.
         bracket = float(phi @ phi) + nu0 * prior.sigma2_prior_scale
-    return -0.5 * (n + 2.0 + nu0) * math.log(sigma2) - bracket / (2.0 * sigma2)
+    return -0.5 * (n + nu0) * math.log(sigma2) - bracket / (2.0 * sigma2)
 
 
 def sample_sigma2_mh(state: ParameterState, ws: SamplerWorkspace, prior: PriorConfig,
                      step: float, rng: RandomStream, joint: bool = True):
-    """Random-walk MH on log sigma^2 (Jacobian included)."""
-    gen = rng.generator
+    """Random-walk MH on log sigma^2."""
     n = ws.y.shape[0]
-    cur = state.sigma2
-    prop = math.exp(math.log(cur) + step * gen.standard_normal())
-    log_ratio = (
-        _log_sigma2_target(prop, ws.eta, ws.phi, state.rho, n, prior, joint)
-        - _log_sigma2_target(cur, ws.eta, ws.phi, state.rho, n, prior, joint)
-        + math.log(prop) - math.log(cur)
-    )
-    unif = gen.random()
-    if math.log(max(unif, 1e-300)) < log_ratio:
-        return prop, True
-    return cur, False
+    return _rw_mh(state.sigma2, math.log, math.exp,
+                  lambda s2: _log_sigma2_target(s2, ws.eta, ws.phi, state.rho, n, prior, joint),
+                  step, rng.generator)
 
 
 def _log_rho_target(rho, eta, phi, sigma2, n) -> float:
+    """Log conditional of rho (flat prior on (-1, 1)) plus log(1 - rho^2), the
+    log Jacobian of tanh; -inf where tanh has rounded rho to +-1."""
     one_m = 1.0 - rho * rho
-    return -0.5 * n * math.log(one_m) \
+    if one_m <= 0.0:
+        return -math.inf
+    return (1.0 - 0.5 * n) * math.log(one_m) \
         - _cross_quad(eta, phi, sigma2, rho) / (2.0 * sigma2 * one_m)
 
 
 def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float, rng: RandomStream):
-    """Random-walk MH on atanh(rho) (Jacobian included; flat prior on (-1,1))."""
-    gen = rng.generator
+    """Random-walk MH on atanh(rho)."""
     n = ws.y.shape[0]
-    cur = state.rho
-    zp = math.atanh(cur) + step * gen.standard_normal()
-    prop = math.tanh(zp)
-    log_ratio = (
-        _log_rho_target(prop, ws.eta, ws.phi, state.sigma2, n)
-        - _log_rho_target(cur, ws.eta, ws.phi, state.sigma2, n)
-        + math.log1p(-prop * prop) - math.log1p(-cur * cur)
-    )
-    unif = gen.random()
-    if math.log(max(unif, 1e-300)) < log_ratio:
-        return prop, True
-    return cur, False
+    return _rw_mh(state.rho, math.atanh, math.tanh,
+                  lambda rho: _log_rho_target(rho, ws.eta, ws.phi, state.sigma2, n),
+                  step, rng.generator)
 
 
 def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig, rng: RandomStream) -> float:
@@ -275,36 +276,29 @@ def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig, rng: Rand
 
 
 def _log_r_target(r, beta_sq, orders_f, tau_sq, a, b) -> float:
+    """Log conditional of r plus log r(1 - r), the log Jacobian of the inverse logit."""
     return (
-        -0.5 * float(orders_f.sum()) * math.log(r)
+        (a - 0.5 * float(orders_f.sum())) * math.log(r) + b * math.log1p(-r)
         - float(np.sum(beta_sq * np.power(r, -orders_f))) / (2.0 * tau_sq)
-        + (a - 1.0) * math.log(r)
-        + (b - 1.0) * math.log1p(-r)
     )
 
 
+def _expit_clamped(x: float) -> float:
+    # keeps r strictly inside (0, 1) where the inverse logit rounds to 0 or 1
+    return min(max(1.0 / (1.0 + math.exp(-x)), 1e-12), 1.0 - 1e-12)
+
+
 def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
-                step: float, rng: RandomStream, current: float = None):
+                step: float, rng: RandomStream, current: float):
     """Random-walk MH on logit(r) for one shrinkage decay parameter."""
-    gen = rng.generator
     beta_sq = np.asarray(beta_k, dtype=float) ** 2
     orders_f = orders.orders.astype(float)
     cur = float(current)
     if not 0.0 < cur < 1.0:
         raise ValueError("current r must lie in (0, 1)")
-    logit = math.log(cur) - math.log1p(-cur)
-    prop = 1.0 / (1.0 + math.exp(-(logit + step * gen.standard_normal())))
-    prop = min(max(prop, 1e-12), 1.0 - 1e-12)
-    log_ratio = (
-        _log_r_target(prop, beta_sq, orders_f, tau_sq_k, prior.a, prior.b)
-        - _log_r_target(cur, beta_sq, orders_f, tau_sq_k, prior.a, prior.b)
-        + math.log(prop) + math.log1p(-prop)
-        - math.log(cur) - math.log1p(-cur)
-    )
-    unif = gen.random()
-    if math.log(max(unif, 1e-300)) < log_ratio:
-        return prop, True
-    return cur, False
+    return _rw_mh(cur, lambda r: math.log(r) - math.log1p(-r), _expit_clamped,
+                  lambda r: _log_r_target(r, beta_sq, orders_f, tau_sq_k, prior.a, prior.b),
+                  step, rng.generator)
 
 
 def init_state(data: Dataset, prior: PriorConfig, cfg: ChainConfig):
@@ -394,9 +388,11 @@ class ChainOutput(Draws):
 
 _MH_TARGETS = ("sigma2", "rho", "r1", "r2")
 
-# Adapted step sizes stay inside these bounds. The ceiling has to be generous:
-# when the data carry little information about r its logit-scale posterior is
-# heavy-tailed, and reaching 0.35 acceptance needs steps well beyond 10.
+# Every MH step starts at _INITIAL_STEP and adapted steps stay inside
+# _STEP_BOUNDS. The ceiling has to be generous: when the data carry little
+# information about r its logit-scale posterior is heavy-tailed, and reaching
+# 0.35 acceptance needs steps well beyond 10.
+_INITIAL_STEP = 0.5
 _STEP_BOUNDS = (1e-3, 80.0)
 
 
@@ -420,8 +416,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     X = data.X
     p = data.p
 
-    steps = {"sigma2": cfg.mh_step_sigma2, "rho": cfg.mh_step_rho,
-             "r1": cfg.mh_step_r, "r2": cfg.mh_step_r}
+    steps = {t: _INITIAL_STEP for t in _MH_TARGETS}
     accepted = {t: 0 for t in _MH_TARGETS}
     proposed = {t: 0 for t in _MH_TARGETS}
 
@@ -483,12 +478,12 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
         except (IllConditionedError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise RuntimeError(f"numeric failure at iteration {j}: {exc}") from exc
 
-        if j <= cfg.burn_in and cfg.adapt_during_burnin:
+        if j <= cfg.burn_in:
             gamma = j ** -0.6
             for t, acc in mh_hits.items():
                 proposal = steps[t] * math.exp(gamma * ((1.0 if acc else 0.0) - 0.35))
                 steps[t] = min(max(proposal, _STEP_BOUNDS[0]), _STEP_BOUNDS[1])
-        elif j > cfg.burn_in:
+        else:
             for t, acc in mh_hits.items():
                 proposed[t] += 1
                 if acc:

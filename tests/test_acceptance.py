@@ -40,7 +40,7 @@ def report(num, ok, detail):
 def replicate_args(seed, iterations=5000, burn_in=500):
     return argparse.Namespace(
         seed=seed, iterations=iterations, burn_in=burn_in, thin=1,
-        no_adapt=False, init_tau1_sq=0.5, init_tau2_sq=0.5,
+        init_tau1_sq=0.5, init_tau2_sq=0.5,
         init_r1=0.3, init_r2=0.3, nu=2.0, delta_sq=2.0, beta_a=0.1, beta_b=0.1)
 
 

@@ -168,3 +168,25 @@ def test_kernels_accept_and_reject():
         state.sigma2 = val
         flags.append(acc)
     assert any(flags) and not all(flags)
+
+
+@pytest.mark.parametrize("kernel", ["sigma2", "rho", "r"])
+def test_kernels_survive_step_ceiling(kernel):
+    # at the adaptation ceiling (step 80) many proposals land on the edge of
+    # the support once mapped back (tanh rounds rho to +-1); such a proposal
+    # must be rejected, and no move may raise or leave its support
+    state, ws = fixed_residual_setup(n=20, sigma2=1.0, rho=0.5)
+    prior = PriorConfig()
+    moves = {
+        "sigma2": (lambda rng: sample_sigma2_mh(state, ws, prior, 80.0, rng),
+                   lambda v: v > 0.0),
+        "rho": (lambda rng: sample_rho_mh(state, ws, 80.0, rng),
+                lambda v: -1.0 < v < 1.0),
+        "r": (lambda rng: sample_r_mh(np.array([0.5, -0.2]), 0.5, EffectOrders([1, 1]),
+                                      prior, 80.0, rng, current=0.3),
+              lambda v: 0.0 < v < 1.0),
+    }
+    move, in_support = moves[kernel]
+    for seed in range(200):
+        val, _ = move(RandomStream(seed))
+        assert in_support(val), (seed, val)

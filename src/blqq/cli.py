@@ -115,7 +115,8 @@ def _write_fit_outputs(out_dir, chain, meta, max_acf_lag=50):
         if name in ("sigma2", "rho") and np.std(col) > 0:
             acf_table[name] = acf(col, lag)
     bio.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"),
-                              chain.acceptance, ess, acf_table, meta=meta)
+                              chain.acceptance, chain.steps, chain.loo_fallbacks,
+                              ess, acf_table, meta=meta)
 
     for name in ["sigma2", "rho"] + chain.names[:2 * chain.p]:
         bio.write_histogram_csv(os.path.join(out_dir, f"hist_{name}.csv"),

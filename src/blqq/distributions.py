@@ -15,6 +15,7 @@ from scipy import special
 # Standardized truncation point beyond which the inverse-CDF method is
 # swapped for exponential-proposal rejection (tail-exact).
 _TAIL_SWITCH = 5.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -51,15 +52,20 @@ def std_normal_log_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _trunc_std_lower(alpha: float, gen: np.random.Generator) -> float:
-    """One draw of a standard normal conditioned on being >= alpha."""
+def _trunc_std_lower(alpha: float, uni: float, gen: np.random.Generator) -> float:
+    """One draw of a standard normal conditioned on being >= alpha.
+
+    uni is a uniform on [0, 1) that the inverse-CDF branch consumes; gen
+    replaces it if it is exactly 0 and supplies the variates of the tail
+    branch, which leaves uni unused.
+    """
     if alpha < _TAIL_SWITCH:
         # Inverse-CDF on the upper-tail mass; ndtri is well conditioned near 0.
-        q = special.ndtr(-alpha)
-        v = gen.random()
-        while v <= 0.0:
-            v = gen.random()
-        return -special.ndtri(v * q)
+        # The casts keep numpy scalars out of the caller's float arithmetic.
+        q = float(special.ndtr(-alpha))
+        while uni <= 0.0:
+            uni = gen.random()
+        return -float(special.ndtri(uni * q))
     # Robert (1995) shifted-exponential rejection for the far tail.
     lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
     while True:
@@ -69,16 +75,18 @@ def _trunc_std_lower(alpha: float, gen: np.random.Generator) -> float:
             return x
 
 
-def _draw_halfline(m: float, v: float, nonnegative: bool, gen: np.random.Generator) -> float:
+def _draw_halfline(m: float, v: float, nonnegative: bool, uni: float,
+                   gen: np.random.Generator) -> float:
     """One draw of N(m, v) restricted to [0, inf), or to (-inf, 0) when
-    nonnegative is False; the latent sweep calls this once per observation."""
+    nonnegative is False, from the uniform uni (see _trunc_std_lower); the
+    latent sweep calls this once per observation."""
     sd = math.sqrt(v)
     if nonnegative:
-        return m + sd * _trunc_std_lower(-m / sd, gen)
+        return m + sd * _trunc_std_lower(-m / sd, uni, gen)
     # Mirror: X < 0 under N(m, v) <=> -X >= 0 under N(-m, v), and we nudge an
     # (measure-zero) exact 0 into the open half-line.
-    val = -(-m + sd * _trunc_std_lower(m / sd, gen))
-    return val if val < 0.0 else -np.finfo(float).tiny
+    val = m - sd * _trunc_std_lower(m / sd, uni, gen)
+    return val if val < 0.0 else -_TINY
 
 
 def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
@@ -87,7 +95,8 @@ def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
     side="nonnegative" keeps [0, inf), side="negative" keeps (-inf, 0).
     Uses inverse-CDF within 5 sd of the mean and exponential-proposal
     rejection beyond, so it stays exact deep in the tail. size=k returns k
-    successive draws of the scalar sampler the latent sweep uses.
+    successive draws of the scalar sampler the latent sweep uses, from one
+    batch of k uniforms as in the sweep.
     """
     if variance <= 0:
         raise ValueError("variance must be positive")
@@ -96,8 +105,9 @@ def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
     nonnegative = side == "nonnegative"
     gen = rng.generator
     if size is None:
-        return _draw_halfline(mean, variance, nonnegative, gen)
-    return np.fromiter((_draw_halfline(mean, variance, nonnegative, gen) for _ in range(size)),
+        return _draw_halfline(mean, variance, nonnegative, gen.random(), gen)
+    return np.fromiter((_draw_halfline(mean, variance, nonnegative, uni, gen)
+                        for uni in gen.random(size).tolist()),
                        dtype=float, count=size)
 
 

@@ -200,13 +200,17 @@ def write_summary_csv(path, summary: PosteriorSummary, meta=None):
     _write_lines(path, lines)
 
 
-def write_diagnostics_csv(path, acceptance, ess, acf_table, meta=None):
-    """acceptance: {target: rate}; ess: {param: value};
-    acf_table: {param: array of autocorrelations by lag}."""
+def write_diagnostics_csv(path, acceptance, steps, loo_fallbacks, ess, acf_table, meta=None):
+    """acceptance: {target: rate}; steps: {target: final MH step size};
+    loo_fallbacks: count of leave-one-out fallback evaluations; ess:
+    {param: value}; acf_table: {param: array of autocorrelations by lag}."""
     lines = _meta_lines(meta)
     lines.append("record,name,lag,value")
     for target, rate in acceptance.items():
         lines.append(f"acceptance,{target},,{_fmt(rate) if rate == rate else 'nan'}")
+    for target, step in steps.items():
+        lines.append(f"mh_step,{target},,{_fmt(step)}")
+    lines.append(f"loo_fallbacks,u,,{int(loo_fallbacks)}")
     for name, value in ess.items():
         lines.append(f"ess,{name},,{_fmt(value)}")
     for name, values in acf_table.items():

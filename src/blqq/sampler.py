@@ -8,9 +8,9 @@ full conditional of beta with scalars c = 1/(1-rho^2) and
 b_i = [x_i; -(rho/sigma) x_i]. The sweep evaluates the leave-one-out moments
 (m_i, v_i) of u_i from that downdate in closed form, with no n-sized matrix
 ever formed, and falls back to inverting the downdated 2p x 2p precision when
-the shortcut's denominator degenerates. The same structure gives the O(p)
-incremental update of the right-hand statistic as each u_i is refreshed
-mid-sweep. The half-line draw itself is distributions._draw_halfline.
+the shortcut's denominator degenerates. The same structure reduces the
+refresh of the right-hand statistic after each u_i to a p-vector
+accumulator. The half-line draw itself is distributions._draw_halfline.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 from scipy import linalg as sla
@@ -54,7 +55,7 @@ class FullConditionalBeta:
 
     mu_beta: np.ndarray
     sigma_beta: np.ndarray
-    chol: np.ndarray            # lower Cholesky factor of sigma_beta
+    chol_inv: np.ndarray        # inverse of the precision's lower Cholesky factor
     precision: np.ndarray       # cached for the degenerate-downdate fallback
 
 
@@ -126,7 +127,11 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     A[:p, p:] = k12 * ws.gram
     A[p:, :p] = A[:p, p:].T
 
-    eigs = np.linalg.eigvalsh(A)
+    # Conditioning of the Jacobi-scaled precision D^-1/2 A D^-1/2: a tiny
+    # prior variance (r at its clamp) only scales A badly, and the Cholesky
+    # factorization is indifferent to that scaling.
+    dinv = 1.0 / np.sqrt(np.diag(A))
+    eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
         raise IllConditionedError(np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0])
 
@@ -140,7 +145,7 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     return FullConditionalBeta(
         mu_beta=mu_beta,
         sigma_beta=sigma_beta,
-        chol=np.linalg.cholesky(sigma_beta),
+        chol_inv=Linv,
         precision=A,
     )
 
@@ -150,56 +155,69 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     """One in-order sweep of u_1..u_n from their leave-one-out conditionals.
 
     Each u_i is drawn from N(m_i, v_i) truncated to the half-line dictated by
-    z_i, with beta integrated out; the statistic X' Sigma_eps^{-1}[u; y] is
-    updated in O(p) immediately after each draw so later indices condition on
-    the partially updated u. Where the closed-form downdate's denominator
-    falls below _DENOM_FLOOR the moments come from inverting the downdated
+    z_i, with beta integrated out, so later indices condition on the
+    partially updated u. Where the closed-form downdate's denominator falls
+    below _DENOM_FLOOR the moments come from inverting the downdated
     precision instead, and ws.loo_fallbacks counts it.
+
+    With E = [I; -w I] and w = rho/sigma, b_i = E x_i, and every update of
+    the statistic t lies along some b_j: t = t0 + c E g with the p-vector
+    g = sum_{j<i} delta_j x_j. So b_i' Sigma_beta t = a_i + c R_i g with
+    a = X E' Sigma_beta t0 and R = X E' Sigma_beta E, both formed once per
+    sweep; the loop itself runs on Python floats, and the uniforms of the
+    half-line draws come from one batch.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
     u = state.u
     rho, sigma2 = state.rho, state.sigma2
-    s = math.sqrt(sigma2)
-    w = rho / s
+    w = rho / math.sqrt(sigma2)
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
     gen = rng.generator
 
-    B = np.hstack([X, -w * X])
-    Q = B @ fc.sigma_beta
-    d = np.einsum("ij,ij->i", Q, B)
+    S = fc.sigma_beta[:p] - w * fc.sigma_beta[p:]     # E' Sigma_beta
+    R = X @ (S[:, :p] - w * S[:, p:])
+    d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
     denom = 1.0 - c * d
-    t = _statistic(ws, sigma2, rho)
+    t0 = _statistic(ws, sigma2, rho)
+    a = X @ (S @ t0)
+    uni = gen.random(n)
 
-    for i in range(n):
-        yi = y[i]
-        ui = u[i]
-        if denom[i] < _DENOM_FLOOR:
+    ul = u.tolist()
+    g = [0.0] * p
+    rows = zip(a.tolist(), d.tolist(), denom.tolist(), R.tolist(), X.tolist(),
+               y.tolist(), (z == 1).tolist(), uni.tolist())
+    for i, (ai, di, dn, ri, xi, yi, nonneg, unif) in enumerate(rows):
+        ui = ul[i]
+        wy = w * yi
+        if dn < _DENOM_FLOOR:
             ws.loo_fallbacks += 1
-            b = B[i]
+            b = np.concatenate((X[i], -w * X[i]))
+            gv = np.array(g)
+            t = t0 + c * np.concatenate((gv, -w * gv))
             sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-            mu_mi = sigma_mi @ (t - (c * (ui - w * yi)) * b)
-            m = w * yi + float(b @ mu_mi)
+            mu_mi = sigma_mi @ (t - (c * (ui - wy)) * b)
+            m = wy + float(b @ mu_mi)
             v = float(b @ sigma_mi @ b) + one_m
         else:
-            m = w * yi + (float(Q[i] @ t) - c * d[i] * (ui - w * yi)) / denom[i]
-            v = d[i] / denom[i] + one_m
+            m = wy + (ai + c * sum(map(mul, ri, g)) - c * di * (ui - wy)) / dn
+            v = di / dn + one_m
         if v < one_m:
             v = one_m
-        un = _draw_halfline(m, v, z[i] == 1, gen)
+        un = _draw_halfline(m, v, nonneg, unif, gen)
         delta = un - ui
-        u[i] = un
-        xd = delta * X[i]
-        t[:p] += c * xd
-        t[p:] -= (c * w) * xd
-        ws.xtu += xd
+        ul[i] = un
+        g = [gk + delta * xk for gk, xk in zip(g, xi)]
+    u[:] = ul
+    ws.xtu += g
     return u
 
 
 def sample_beta(fc: FullConditionalBeta, rng: RandomStream):
     """One joint draw of (beta1, beta2) from the cached full conditional."""
-    draw = fc.mu_beta + fc.chol @ rng.generator.standard_normal(fc.mu_beta.shape[0])
+    eps = rng.generator.standard_normal(fc.mu_beta.shape[0])
+    draw = fc.mu_beta + fc.chol_inv.T @ eps
     p = draw.shape[0] // 2
     return draw[:p], draw[p:]
 
@@ -380,6 +398,7 @@ class ChainOutput(Draws):
 
     acceptance: dict            # target -> post-adaptation acceptance rate
     accept_counts: dict         # target -> (accepted, proposed)
+    steps: dict                 # target -> MH step size at the end of the chain
     final_u: np.ndarray
     config: ChainConfig
     loo_fallbacks: int
@@ -500,6 +519,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
         draws=draws,
         acceptance=rates,
         accept_counts={t: (accepted[t], proposed[t]) for t in _MH_TARGETS},
+        steps=steps,
         final_u=state.u.copy(),
         config=replace(cfg),
         loo_fallbacks=ws.loo_fallbacks,

@@ -75,7 +75,7 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None):
     u0 = state.u.copy()
     seen = []
 
-    def record(m, v, nonnegative, gen):
+    def record(m, v, nonnegative, uni, gen):
         seen.append((m, v))
         return u0[len(seen) - 1]
 

@@ -103,6 +103,13 @@ def test_fit_outputs(tmp_path):
     chain = bio.read_chain_csv(out / "chain.csv")
     assert chain.beta1.shape == (150, 4)
     assert np.all(np.abs(chain.rho) < 1)
+    # the run facts: the final adapted MH steps and the LOO fallback count
+    rows = [ln.split(",") for ln in (out / "diagnostics.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    steps = {r[1]: float(r[3]) for r in rows if r[0] == "mh_step"}
+    assert set(steps) == {"sigma2", "rho", "r1", "r2"}
+    assert all(1e-3 <= v <= 80.0 for v in steps.values())
+    assert [r[1:] for r in rows if r[0] == "loo_fallbacks"] == [["u", "", "0"]]
 
 
 def test_fit_smb_pins_rho(tmp_path):

@@ -120,10 +120,12 @@ def test_summary_and_diagnostics_files(tmp_path):
     assert float(lines[1].split(",")[1]) == summary.mean[0]
 
     dpath = tmp_path / "diag.csv"
-    bio.write_diagnostics_csv(dpath, {"rho": 0.4}, {"rho": 150.0},
+    bio.write_diagnostics_csv(dpath, {"rho": 0.4}, {"rho": 2.5}, 3, {"rho": 150.0},
                               {"rho": np.array([1.0, 0.5])})
     text = dpath.read_text()
     assert "acceptance,rho,,0.4" in text
+    assert "mh_step,rho,,2.5" in text
+    assert "loo_fallbacks,u,,3" in text
     assert "ess,rho,,150.0" in text
     assert "acf,rho,1,0.5" in text
 

@@ -71,6 +71,7 @@ def test_chain_shapes_and_bookkeeping():
         assert t in out.acceptance
         acc, prop = out.accept_counts[t]
         assert prop == 200 and 0 <= acc <= prop
+        assert 1e-3 <= out.steps[t] <= 80.0
     assert np.all(out.sigma2 > 0)
     assert np.all(np.abs(out.rho) < 1)
     assert np.all((out.final_u >= 0) == (data.z == 1))
@@ -117,3 +118,15 @@ def test_burnin_only_adaptation():
     a = run_small(data)
     b = run_small(data)
     assert np.array_equal(a.sigma2, b.sigma2)
+
+
+def test_tiny_chain_survives_r_at_its_clamp():
+    # n=3, p=1 under the default Beta(0.1, 0.1) prior on r: r reaches its
+    # 1e-12 clamp, which scales the precision badly without making it
+    # singular; the chain must run to the end with finite draws
+    orders, prior = EffectOrders([1]), PriorConfig()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((3, 1)), rng.standard_normal(3), np.array([1, 0, 1]))
+        out = run_chain(data, orders, prior, ChainConfig(iterations=2000, burn_in=1000, seed=seed))
+        assert np.all(np.isfinite(out.draws)), seed

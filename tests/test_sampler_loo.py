@@ -108,6 +108,47 @@ def test_sweep_deterministic_under_seed():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_sweep_tail_branch_runs():
+    # u_0's leave-one-out mean lies far above 0 while z_0 = 0, so its draw
+    # takes the alpha >= 5 tail branch inside a real sweep
+    rng = np.random.default_rng(43)
+    n = 30
+    X = rng.uniform(1.0, 3.0, size=(n, 1))
+    u = 10.0 * X[:, 0] + 0.1 * rng.standard_normal(n)
+    u[0] = -0.5
+    z = (u >= 0).astype(int)
+    y = rng.standard_normal(n)
+    sigma2, rho, v = 1.0, 0.3, np.full(1, 100.0)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v, v)
+    m, var = oracles.sweep_loo_moments(state, fc, ws)
+    assert m[0] / np.sqrt(var[0]) > 5.0 and z[0] == 0
+    outs = []
+    for _ in range(2):
+        ws, state = make_ws(X, y, u, z, sigma2, rho)
+        fc = compute_beta_full_conditional(ws, sigma2, rho, v, v)
+        outs.append(sample_u_sweep(state, fc, ws, RandomStream(9)).copy())
+        assert np.all((outs[-1] >= 0) == (z == 1))
+        # the tail draw lies just below 0 (excess ~ sd/alpha), not at the
+        # nudge that replaces an exact 0
+        assert -1.0 < outs[-1][0] < -1e-12
+        assert np.allclose(ws.xtu, X.T @ outs[-1], rtol=1e-10, atol=1e-10)
+    assert np.array_equal(outs[0], outs[1])
+
+
+def test_full_conditional_tiny_prior_variance():
+    # a prior variance of 1e-13 (r at its 1e-12 clamp) makes the raw precision's
+    # condition number ~1e13 but its Jacobi-scaled one modest; the full
+    # conditional must still be built, and match the dense route
+    X, y, u, z, sigma2, rho, v1, v2 = random_instance(13, 3, 1)
+    v1 = np.full(1, 1e-13)
+    ws, _ = make_ws(X, y, u, z)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
+    assert np.allclose(fc.mu_beta, mu_d, rtol=1e-8, atol=1e-14)
+    assert np.allclose(fc.sigma_beta, sig_d, rtol=1e-8, atol=1e-20)
+
+
 def test_sweep_fallback_branch_runs(monkeypatch):
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(42, 10, 2)
     ws, state = make_ws(X, y, u, z, sigma2, rho)

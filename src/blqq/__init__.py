@@ -37,7 +37,6 @@ from .sampler import (
 )
 from .baselines import fit_sm_b
 from .simulate import (
-    GeneratedReplicate,
     SimulationScenario,
     gen_ar1_covariance,
     gen_birth_records,

@@ -257,26 +257,3 @@ def write_truth_csv(path, rep, meta=None):
     for j in range(rep.beta1_true.shape[0]):
         lines.append(f"{j + 1},{_fmt(rep.beta1_true[j])},{_fmt(rep.beta2_true[j])}")
     _write_lines(path, lines)
-
-
-def read_truth_csv(path):
-    rho_true = None
-    sigma2_true = None
-    b1, b2 = [], []
-    header_seen = False
-    with open(path, "r", newline="") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#rho_true:"):
-                rho_true = float(line.split(":", 1)[1])
-            elif line.startswith("#sigma2_true:"):
-                sigma2_true = float(line.split(":", 1)[1])
-            elif line.startswith("#") or not line.strip():
-                continue
-            elif not header_seen:
-                header_seen = True
-            else:
-                cells = line.split(",")
-                b1.append(float(cells[1]))
-                b2.append(float(cells[2]))
-    return np.array(b1), np.array(b2), rho_true, sigma2_true

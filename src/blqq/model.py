@@ -136,13 +136,7 @@ class ChainConfig:
     init_tau2_sq: float = 0.5
     init_r1: float = 0.3
     init_r2: float = 0.3
-    # Step toggles: disabled blocks keep their initial values for the whole
-    # chain (used by the separate-model baseline and by oracle tests).
-    update_u: bool = True
-    update_beta: bool = True
-    update_sigma2: bool = True
-    update_rho: bool = True
-    update_hyper: bool = True
+    # The separate-model baseline: rho pinned at 0 and never moved.
     freeze_rho_at_zero: bool = False
 
     def __post_init__(self):

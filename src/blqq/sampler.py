@@ -396,13 +396,18 @@ def _fit_probit(X, z, lam=0.0, max_iter=50):
 class ChainOutput(Draws):
     """Stored post-burn-in draws plus acceptance and timing bookkeeping."""
 
-    acceptance: dict            # target -> post-adaptation acceptance rate
-    accept_counts: dict         # target -> (accepted, proposed)
+    accept_counts: dict         # target -> (accepted, proposed) after burn-in
     steps: dict                 # target -> MH step size at the end of the chain
     final_u: np.ndarray
     config: ChainConfig
     loo_fallbacks: int
     timings: dict = field(default_factory=dict)
+
+    @property
+    def acceptance(self) -> dict:
+        """target -> post-adaptation acceptance rate, nan where nothing was proposed."""
+        return {t: acc / prop if prop else float("nan")
+                for t, (acc, prop) in self.accept_counts.items()}
 
 
 _MH_TARGETS = ("sigma2", "rho", "r1", "r2")
@@ -415,110 +420,98 @@ _INITIAL_STEP = 0.5
 _STEP_BOUNDS = (1e-3, 80.0)
 
 
+def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
+             orders: EffectOrders, prior: PriorConfig, steps: dict, rngs: dict,
+             joint: bool, timings: dict) -> dict:
+    """One Gibbs/MH scan, updating state, hyper and ws in place: the u-sweep
+    with beta integrated out, the joint beta draw, MH moves for sigma^2 and
+    (joint chains only) rho, conjugate tau^2 draws, and MH moves for r1/r2.
+    Adds each block's wall time to timings; returns {target: accepted} for
+    every MH move made."""
+    v1 = prior_variance_diagonal(orders, hyper.tau1_sq, hyper.r1)
+    v2 = prior_variance_diagonal(orders, hyper.tau2_sq, hyper.r2)
+
+    tic = time.perf_counter()
+    fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
+    sample_u_sweep(state, fc, ws, rngs["u"])
+    xtu_ref = ws.X.T @ state.u
+    err = np.linalg.norm(ws.xtu - xtu_ref)
+    if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
+        raise RuntimeError("incremental X'u statistic drifted")
+    ws.xtu = xtu_ref
+    fc.mu_beta = fc.sigma_beta @ _statistic(ws, state.sigma2, state.rho)
+    timings["u_sweep"] += time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    state.beta1, state.beta2 = sample_beta(fc, rngs["beta"])
+    ws.refresh_residuals(state)
+    timings["beta"] += time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    hits = {}
+    state.sigma2, hits["sigma2"] = sample_sigma2_mh(state, ws, prior, steps["sigma2"],
+                                                    rngs["sigma2"], joint=joint)
+    if joint:
+        state.rho, hits["rho"] = sample_rho_mh(state, ws, steps["rho"], rngs["rho"])
+    timings["sigma2_rho"] += time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    hyper.tau1_sq = sample_tau2(state.beta1, orders, hyper.r1, prior, rngs["tau1"])
+    hyper.tau2_sq = sample_tau2(state.beta2, orders, hyper.r2, prior, rngs["tau2"])
+    hyper.r1, hits["r1"] = sample_r_mh(state.beta1, hyper.tau1_sq, orders, prior,
+                                       steps["r1"], rngs["r1"], current=hyper.r1)
+    hyper.r2, hits["r2"] = sample_r_mh(state.beta2, hyper.tau2_sq, orders, prior,
+                                       steps["r2"], rngs["r2"], current=hyper.r2)
+    timings["hyper"] += time.perf_counter() - tic
+    return hits
+
+
 def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: ChainConfig) -> ChainOutput:
-    """Full Gibbs run: init, then per iteration the u-sweep, the joint beta
-    draw, MH moves for sigma^2 and rho, conjugate tau^2 draws, and MH moves
-    for r1/r2. MH steps adapt toward 0.35 acceptance during burn-in only."""
+    """Full Gibbs run: init, then cfg.iterations scans of _iterate. MH steps
+    adapt toward 0.35 acceptance during burn-in only; acceptances are counted
+    and draws stored after it."""
     if data.n < 2:
         raise ValueError("need n >= 2 rows and p >= 1 columns")
     state, hyper = init_state(data, prior, cfg)
     joint = not cfg.freeze_rho_at_zero
     if not joint:
-        state = ParameterState(beta1=state.beta1, beta2=state.beta2,
-                               sigma2=state.sigma2, rho=0.0, u=state.u)
+        state.rho = 0.0
 
     root = RandomStream(cfg.seed)
     rngs = {name: root.substream(k) for k, name in enumerate(
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
-
     ws = SamplerWorkspace.build(data, state)
-    X = data.X
-    p = data.p
 
     steps = {t: _INITIAL_STEP for t in _MH_TARGETS}
-    accepted = {t: 0 for t in _MH_TARGETS}
-    proposed = {t: 0 for t in _MH_TARGETS}
-
+    counts = {t: (0, 0) for t in _MH_TARGETS}
     n_store = (cfg.iterations - cfg.burn_in) // cfg.thin
-    draws = np.empty((n_store, 2 * p + len(SCALAR_NAMES)))
+    draws = np.empty((n_store, 2 * data.p + len(SCALAR_NAMES)))
     timings = {"u_sweep": 0.0, "beta": 0.0, "sigma2_rho": 0.0, "hyper": 0.0}
 
     s_idx = 0
     for j in range(1, cfg.iterations + 1):
         try:
-            v1 = prior_variance_diagonal(orders, hyper.tau1_sq, hyper.r1)
-            v2 = prior_variance_diagonal(orders, hyper.tau2_sq, hyper.r2)
-
-            tic = time.perf_counter()
-            fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
-            if cfg.update_u:
-                sample_u_sweep(state, fc, ws, rngs["u"])
-                xtu_ref = X.T @ state.u
-                err = np.linalg.norm(ws.xtu - xtu_ref)
-                if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
-                    raise RuntimeError("incremental X'u statistic drifted")
-                ws.xtu = xtu_ref
-                fc.mu_beta = fc.sigma_beta @ _statistic(ws, state.sigma2, state.rho)
-            timings["u_sweep"] += time.perf_counter() - tic
-
-            tic = time.perf_counter()
-            if cfg.update_beta:
-                b1, b2 = sample_beta(fc, rngs["beta"])
-                state.beta1, state.beta2 = b1, b2
-            ws.refresh_residuals(state)
-            timings["beta"] += time.perf_counter() - tic
-
-            tic = time.perf_counter()
-            mh_hits = {}
-            if cfg.update_sigma2:
-                val, acc = sample_sigma2_mh(state, ws, prior, steps["sigma2"],
-                                            rngs["sigma2"], joint=joint)
-                state.sigma2 = val
-                mh_hits["sigma2"] = acc
-            if cfg.update_rho and joint:
-                val, acc = sample_rho_mh(state, ws, steps["rho"], rngs["rho"])
-                state.rho = val
-                mh_hits["rho"] = acc
-            timings["sigma2_rho"] += time.perf_counter() - tic
-
-            tic = time.perf_counter()
-            if cfg.update_hyper:
-                hyper.tau1_sq = sample_tau2(state.beta1, orders, hyper.r1, prior, rngs["tau1"])
-                hyper.tau2_sq = sample_tau2(state.beta2, orders, hyper.r2, prior, rngs["tau2"])
-                r1, acc1 = sample_r_mh(state.beta1, hyper.tau1_sq, orders, prior,
-                                       steps["r1"], rngs["r1"], current=hyper.r1)
-                hyper.r1 = r1
-                mh_hits["r1"] = acc1
-                r2, acc2 = sample_r_mh(state.beta2, hyper.tau2_sq, orders, prior,
-                                       steps["r2"], rngs["r2"], current=hyper.r2)
-                hyper.r2 = r2
-                mh_hits["r2"] = acc2
-            timings["hyper"] += time.perf_counter() - tic
+            hits = _iterate(state, hyper, ws, orders, prior, steps, rngs, joint, timings)
         except (IllConditionedError, np.linalg.LinAlgError, FloatingPointError) as exc:
             raise RuntimeError(f"numeric failure at iteration {j}: {exc}") from exc
 
         if j <= cfg.burn_in:
             gamma = j ** -0.6
-            for t, acc in mh_hits.items():
+            for t, acc in hits.items():
                 proposal = steps[t] * math.exp(gamma * ((1.0 if acc else 0.0) - 0.35))
                 steps[t] = min(max(proposal, _STEP_BOUNDS[0]), _STEP_BOUNDS[1])
         else:
-            for t, acc in mh_hits.items():
-                proposed[t] += 1
-                if acc:
-                    accepted[t] += 1
+            for t, acc in hits.items():
+                counts[t] = (counts[t][0] + int(acc), counts[t][1] + 1)
 
         if j > cfg.burn_in and (j - cfg.burn_in) % cfg.thin == 0:
             draws[s_idx] = np.concatenate((state.beta1, state.beta2, (
                 state.sigma2, state.rho, hyper.tau1_sq, hyper.tau2_sq, hyper.r1, hyper.r2)))
             s_idx += 1
 
-    rates = {t: (accepted[t] / proposed[t] if proposed[t] else float("nan"))
-             for t in _MH_TARGETS}
     return ChainOutput(
         draws=draws,
-        acceptance=rates,
-        accept_counts={t: (accepted[t], proposed[t]) for t in _MH_TARGETS},
+        accept_counts=counts,
         steps=steps,
         final_u=state.u.copy(),
         config=replace(cfg),

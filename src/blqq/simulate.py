@@ -37,10 +37,6 @@ class SimulationScenario:
         if abs(k - round(k)) > 1e-9:
             raise ValueError("sparsity * p must be an integer")
 
-    @property
-    def n_nonzero(self) -> int:
-        return int(round(self.sparsity * self.p))
-
 
 @dataclass
 class GeneratedReplicate:

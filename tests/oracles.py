@@ -3,7 +3,8 @@
 Everything here materializes the full 2n-sized objects on purpose: these
 oracles must stay independent of the shortcut formulas they validate.
 sweep_loo_moments is the other side of the comparison: it reads the
-leave-one-out moments off the sampler's own sweep.
+leave-one-out moments off the sampler's own sweep. pin_blocks holds sampler
+blocks fixed for the oracles that need part of the posterior conditioned on.
 """
 import numpy as np
 from scipy import integrate, stats
@@ -89,6 +90,29 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None):
         sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR = saved
     m, v = np.array(seen).T
     return m, v
+
+
+def pin_blocks(monkeypatch, *blocks, beta=None, tau_sq=None):
+    """Hold the named sampler blocks at their current values in run_chain.
+
+    Each block sampler is replaced at its blqq.sampler global, where the scan
+    looks it up, by a stub that returns the current value and draws nothing,
+    so the blocks that still move consume their random streams as in a chain
+    with no block pinned. Blocks: "u", "beta" (held at beta=(beta1, beta2)),
+    "sigma2", "rho", and "hyper", the tau^2 draws and r moves (both tau^2 held
+    at tau_sq).
+    """
+    stubs = {
+        "u": {"sample_u_sweep": lambda state, fc, ws, rng: state.u},
+        "beta": {"sample_beta": lambda fc, rng: beta},
+        "sigma2": {"sample_sigma2_mh": lambda state, *args, **kw: (state.sigma2, False)},
+        "rho": {"sample_rho_mh": lambda state, *args: (state.rho, False)},
+        "hyper": {"sample_tau2": lambda *args: tau_sq,
+                  "sample_r_mh": lambda *args, current: (current, False)},
+    }
+    for block in blocks:
+        for name, stub in stubs[block].items():
+            monkeypatch.setattr(sampler_mod, name, stub)
 
 
 def quadrature_joint_loglik(X, y, z, beta1, beta2, sigma2, rho):

@@ -97,14 +97,14 @@ def test_criterion_2_tiny_posterior_oracle():
     orders = EffectOrders([1])
     prior = PriorConfig()
     # hyperparameters pinned so the prior variance is exactly 2.0 * 0.5 = 1.0
-    base = dict(init_tau1_sq=2.0, init_tau2_sq=2.0, init_r1=0.5, init_r2=0.5,
-                update_hyper=False)
+    base = dict(init_tau1_sq=2.0, init_tau2_sq=2.0, init_r1=0.5, init_r2=0.5)
 
     # part A: beta means vs 2-D grid quadrature at the chain's fixed (sigma2, rho)
-    cfg = ChainConfig(iterations=42_000, burn_in=2_000, seed=11,
-                      update_sigma2=False, update_rho=False, **base)
+    cfg = ChainConfig(iterations=42_000, burn_in=2_000, seed=11, **base)
     state0, _ = init_state(data, prior, cfg)
-    out = run_chain(data, orders, prior, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.pin_blocks(mp, "sigma2", "rho", "hyper", tau_sq=2.0)
+        out = run_chain(data, orders, prior, cfg)
     grid = np.linspace(-6.0, 8.0, 241)
     g1, g2 = oracles.grid_quadrature_posterior_mean_beta(
         data.X, data.y, data.z, state0.sigma2, state0.rho, 1.0, 1.0, grid)
@@ -112,11 +112,12 @@ def test_criterion_2_tiny_posterior_oracle():
     err2 = abs(float(out.beta2.mean()) - g2)
 
     # part B: rho draws vs 1-D quadrature with (beta, u, sigma2) fixed
-    cfg_r = ChainConfig(iterations=42_000, burn_in=2_000, seed=12,
-                        update_u=False, update_beta=False,
-                        update_sigma2=False, **base)
+    cfg_r = ChainConfig(iterations=42_000, burn_in=2_000, seed=12, **base)
     state_r, _ = init_state(data, prior, cfg_r)
-    out_r = run_chain(data, orders, prior, cfg_r)
+    with pytest.MonkeyPatch.context() as mp:
+        oracles.pin_blocks(mp, "u", "beta", "sigma2", "hyper",
+                           beta=(state_r.beta1, state_r.beta2), tau_sq=2.0)
+        out_r = run_chain(data, orders, prior, cfg_r)
     eta = state_r.u - data.X @ state_r.beta1
     phi = data.y - data.X @ state_r.beta2
     rgrid = np.linspace(-0.9995, 0.9995, 8001)
@@ -148,8 +149,7 @@ def test_criterion_3_rho_zero_decoupling():
     orders = EffectOrders(np.ones(5, dtype=int))
     prior = PriorConfig()
     cfg_a = ChainConfig(iterations=4500, burn_in=500, seed=1)
-    cfg_b = ChainConfig(iterations=4500, burn_in=500, seed=2,
-                        freeze_rho_at_zero=True, update_rho=False)
+    cfg_b = ChainConfig(iterations=4500, burn_in=500, seed=2, freeze_rho_at_zero=True)
     smb = fit_sm_b(rep.train, orders, prior, cfg_a)
     frozen = run_chain(rep.train, orders, prior, cfg_b)
     worst = 0.0

@@ -4,6 +4,7 @@ depend on z."""
 import numpy as np
 import pytest
 
+import oracles
 from blqq.baselines import fit_sm_b
 from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
 from blqq.sampler import run_chain
@@ -28,8 +29,7 @@ def test_equals_frozen_joint_chain():
     orders, prior = setup(data)
     sep = fit_sm_b(data, orders, prior, CFG)
     from dataclasses import replace
-    frozen = run_chain(data, orders, prior,
-                       replace(CFG, freeze_rho_at_zero=True, update_rho=False))
+    frozen = run_chain(data, orders, prior, replace(CFG, freeze_rho_at_zero=True))
     assert np.array_equal(sep.beta1, frozen.beta1)
     assert np.array_equal(sep.beta2, frozen.beta2)
     assert np.array_equal(sep.sigma2, frozen.sigma2)
@@ -64,17 +64,18 @@ def test_linear_half_ignores_z():
     assert not np.array_equal(a.beta1, b.beta1)
 
 
-def test_linear_half_matches_conjugate_posterior():
+def test_linear_half_matches_conjugate_posterior(monkeypatch):
     # with the hierarchy frozen the beta2 | y marginal has a tractable mean
     # once sigma2 is also frozen; check against the ridge formula
     data = small_data(seed=3, n=200, p=2)
     orders, prior = setup(data)
     cfg = ChainConfig(iterations=4000, burn_in=500, seed=4,
-                      update_sigma2=False, update_hyper=False,
                       init_tau1_sq=1.0, init_tau2_sq=1.0,
                       init_r1=0.5, init_r2=0.5)
+    oracles.pin_blocks(monkeypatch, "sigma2", "hyper", tau_sq=1.0)
     sep = fit_sm_b(data, orders, prior, cfg)
     sigma2 = sep.sigma2[0]  # frozen at its initial value
+    assert np.all(sep.sigma2 == sigma2) and np.all(sep.tau2_sq == 1.0) and np.all(sep.r2 == 0.5)
     V2 = 1.0 * 0.5 * np.eye(2)  # tau2^2 * r^1 on linear columns
     A = np.linalg.inv(V2) + data.X.T @ data.X / sigma2
     mu = np.linalg.solve(A, data.X.T @ data.y / sigma2)

@@ -7,6 +7,7 @@ import pytest
 import blqq.cli as cli
 from blqq import io as bio
 from blqq.cli import main
+from blqq.simulate import SimulationScenario, gen_replicate
 
 FAST = ["--iterations", "200", "--burn-in", "50"]
 
@@ -71,9 +72,15 @@ def test_simulate_writes_replicates(tmp_path):
             assert (setting / f"rep{k}_{part}.csv").exists()
     data, orders = bio.parse_dataset_csv(setting / "rep0_train.csv")
     assert data.X.shape == (100, 5)
-    b1, b2, rho, sigma2 = bio.read_truth_csv(setting / "rep0_truth.csv")
-    assert rho == 0.85 and sigma2 == 2.0
-    assert np.count_nonzero(b1) == 1
+    rep = gen_replicate(SimulationScenario(p=5, sparsity=0.2, rho_true=0.85, base_seed=3), 0)
+    truth = setting / "rep0_truth.csv"
+    lines = truth.read_text().splitlines()
+    head = lines.index("index,beta1_true,beta2_true")
+    assert lines[head - 2:head] == ["#rho_true: 0.85", "#sigma2_true: 2.0"]
+    table = np.loadtxt(truth, delimiter=",", skiprows=head + 1)
+    assert np.array_equal(table[:, 1], rep.beta1_true)
+    assert np.array_equal(table[:, 2], rep.beta2_true)
+    assert np.count_nonzero(rep.beta1_true) == 1
 
 
 def test_simulate_rejects_bad_sparsity(tmp_path, capsys):

@@ -157,8 +157,12 @@ def test_predictions_file_with_losses(tmp_path):
 def test_truth_round_trip(tmp_path):
     rep = gen_replicate(SimulationScenario(p=4, sparsity=0.25), 0)
     path = tmp_path / "truth.csv"
-    bio.write_truth_csv(path, rep)
-    b1, b2, rho, sigma2 = bio.read_truth_csv(path)
-    assert np.array_equal(b1, rep.beta1_true)
-    assert np.array_equal(b2, rep.beta2_true)
-    assert rho == rep.rho_true and sigma2 == rep.sigma2_true
+    bio.write_truth_csv(path, rep, meta={"replicate": 0})
+    lines = path.read_text().splitlines()
+    head = lines.index("index,beta1_true,beta2_true")
+    assert lines[:head] == ["#replicate: 0", f"#rho_true: {rep.rho_true!r}",
+                            f"#sigma2_true: {rep.sigma2_true!r}"]
+    table = np.loadtxt(path, delimiter=",", skiprows=head + 1)
+    assert np.array_equal(table[:, 0], np.arange(1, 5))
+    assert np.array_equal(table[:, 1], rep.beta1_true)
+    assert np.array_equal(table[:, 2], rep.beta2_true)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from blqq.distributions import RandomStream
 from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
-from blqq.sampler import init_state, run_chain
+from blqq.sampler import _INITIAL_STEP, SamplerWorkspace, _iterate, init_state, run_chain
 from blqq.simulate import SimulationScenario, gen_replicate
 
 
@@ -90,13 +91,28 @@ def test_chain_deterministic_under_seed():
     assert not np.array_equal(a.rho, c.rho)
 
 
-def test_update_toggles_freeze_blocks():
-    data = small_data(seed=4)
-    out = run_small(data, update_sigma2=False, update_rho=False, update_hyper=False)
-    assert np.all(out.sigma2 == out.sigma2[0])
-    assert np.all(out.rho == out.rho[0])
-    assert np.all(out.tau1_sq == 0.5)
-    assert np.all(out.r2 == 0.3)
+def test_iterate_by_hand_reproduces_run_chain():
+    # the scan is the seam a test can drive one step at a time: from the same
+    # start, streams and (unadapted) steps, it must give the chain's own draws
+    data = small_data(seed=3)
+    orders, prior = default_setup(data)
+    cfg = ChainConfig(iterations=50, burn_in=0, seed=42)
+    out = run_chain(data, orders, prior, cfg)
+
+    state, hyper = init_state(data, prior, cfg)
+    ws = SamplerWorkspace.build(data, state)
+    root = RandomStream(cfg.seed)
+    rngs = {name: root.substream(k) for k, name in enumerate(
+        ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
+    steps = dict.fromkeys(("sigma2", "rho", "r1", "r2"), _INITIAL_STEP)
+    timings = dict.fromkeys(("u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)
+    rows = []
+    for _ in range(cfg.iterations):
+        _iterate(state, hyper, ws, orders, prior, steps, rngs, True, timings)
+        rows.append(np.concatenate((state.beta1, state.beta2, (
+            state.sigma2, state.rho, hyper.tau1_sq, hyper.tau2_sq, hyper.r1, hyper.r2))))
+    assert np.array_equal(np.array(rows), out.draws)
+    assert np.array_equal(state.u, out.final_u)
 
 
 def test_freeze_rho_at_zero():

@@ -45,7 +45,6 @@ def test_sparse_coefficients_sign_balance():
 def test_scenario_validates_sparsity():
     with pytest.raises(ValueError):
         SimulationScenario(p=10, sparsity=0.15)
-    assert SimulationScenario(p=10, sparsity=0.5).n_nonzero == 5
 
 
 def test_replicate_shapes_and_consistency():

@@ -17,6 +17,10 @@ adds `#` provenance lines is compared with those lines ignored; for the MH
 settings no longer written since the step sizes became a constant:
 
     diff -r -I '^#\(mh_step_\(sigma2\|rho\|r\)\|adapt_during_burnin\): ' before after
+
+and for the hyper start values no longer written since they became a constant:
+
+    diff -r -I '^#init_\(tau1_sq\|tau2_sq\|r1\|r2\): ' before after
 """
 import os
 import subprocess

@@ -1,8 +1,8 @@
 """Separate-model Bayesian baseline: probit for z and linear regression for y,
 fit independently by freezing the cross-response correlation at zero.
 
-This reuses the joint sampler verbatim with rho pinned to 0 and the
-cross-terms disabled, which factorizes the chain exactly into a
+This reuses the joint sampler verbatim with rho pinned to 0 and never
+moved, which factorizes the chain exactly into a
 latent-variable probit Gibbs sampler for (beta1, u) and a linear-model
 sampler for (beta2, sigma^2). Both halves keep the same hierarchical
 N(0, tau^2 R) priors as the joint model so comparisons isolate the effect of

@@ -58,23 +58,11 @@ def _add_chain_flags(ap):
     ap.add_argument("--delta-sq", type=float, default=2.0)
     ap.add_argument("--beta-a", type=float, default=0.1)
     ap.add_argument("--beta-b", type=float, default=0.1)
-    ap.add_argument("--init-tau1-sq", type=float, default=0.5)
-    ap.add_argument("--init-tau2-sq", type=float, default=0.5)
-    ap.add_argument("--init-r1", type=float, default=0.3)
-    ap.add_argument("--init-r2", type=float, default=0.3)
 
 
 def _chain_config(args) -> ChainConfig:
-    return ChainConfig(
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-        init_tau1_sq=args.init_tau1_sq,
-        init_tau2_sq=args.init_tau2_sq,
-        init_r1=args.init_r1,
-        init_r2=args.init_r2,
-    )
+    return ChainConfig(iterations=args.iterations, burn_in=args.burn_in, thin=args.thin,
+                       seed=args.seed)
 
 
 def _prior_config(args) -> PriorConfig:
@@ -226,8 +214,6 @@ def _aggregate(rows):
 
 
 def cmd_replicate(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-
     raw_lines = ["setting,replicate,method,status," + ",".join(LOSS_FIELDS + ("fp", "fn"))]
     agg_lines = ["setting,method,measure,mean,se,n_ok"]
     for rho, p, s in _settings(args):
@@ -253,6 +239,7 @@ def cmd_replicate(args) -> int:
 
     meta = [f"#seed: {args.seed}", f"#iterations: {args.iterations}",
             f"#burn_in: {args.burn_in}", f"#replicates: {args.replicates}"]
+    os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "losses_raw.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(meta + raw_lines) + "\n")
     with open(os.path.join(args.out_dir, "losses_summary.csv"), "w", newline="\n") as fh:
@@ -322,7 +309,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (bio.DatasetFormatError, ValueError) as exc:
+    except (bio.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:

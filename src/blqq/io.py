@@ -37,13 +37,17 @@ def config_meta(cfg: ChainConfig, extra=None) -> dict:
         "iterations": cfg.iterations,
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
-        "init_tau1_sq": cfg.init_tau1_sq,
-        "init_tau2_sq": cfg.init_tau2_sq,
-        "init_r1": cfg.init_r1,
-        "init_r2": cfg.init_r2,
     }
     meta.update(extra or {})
     return meta
+
+
+def _cell_float(cell, lineno, column) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DatasetFormatError(
+            f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
 
 
 # --- dataset ---------------------------------------------------------------
@@ -103,17 +107,9 @@ def parse_dataset_csv(path, require_responses: bool = True):
             raise DatasetFormatError(
                 f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
         for k, j in enumerate(pred_idx):
-            try:
-                X[r, k] = float(cells[j])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: non-numeric value {cells[j]!r} in column {header[j]!r}")
+            X[r, k] = _cell_float(cells[j], lineno, header[j])
         if has_y:
-            try:
-                y[r] = float(cells[y_idx])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {lineno}: non-numeric value {cells[y_idx]!r} in column 'y'")
+            y[r] = _cell_float(cells[y_idx], lineno, "y")
         if has_z:
             val = cells[z_idx].strip()
             if val not in ("0", "1"):
@@ -154,6 +150,18 @@ def write_chain_csv(path, chain: Draws, meta=None):
     _write_lines(path, lines)
 
 
+def _draw_column_index(header) -> list:
+    """Positions in a chain file's header of the draw columns, in draw order."""
+    p = sum(1 for name in header if name.startswith("beta1_"))
+    if p == 0:
+        raise DatasetFormatError("chain file has no beta1 columns")
+    names = draw_columns(p)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise DatasetFormatError(f"chain file lacks column(s) {', '.join(missing)}")
+    return [header.index(name) for name in names]
+
+
 def read_chain_csv(path) -> Draws:
     """Read a chain file; columns other than the draw columns are ignored."""
     header = None
@@ -166,27 +174,21 @@ def read_chain_csv(path) -> Draws:
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
+                idx = _draw_column_index(header)
             elif len(cells) != len(header):
                 raise DatasetFormatError(
                     f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
             else:
-                rows.append(cells)
+                try:
+                    rows.append([float(cells[k]) for k in idx])
+                except ValueError:
+                    for k in idx:       # raises, naming the first bad cell
+                        _cell_float(cells[k], lineno, header[k])
     if header is None:
         raise DatasetFormatError("chain file has no header row")
-    p = sum(1 for name in header if name.startswith("beta1_"))
-    if p == 0:
-        raise DatasetFormatError("chain file has no beta1 columns")
-    names = draw_columns(p)
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise DatasetFormatError(f"chain file lacks column(s) {', '.join(missing)}")
     if not rows:
         raise DatasetFormatError("chain file has no draws")
-    idx = [header.index(name) for name in names]
-    draws = np.empty((len(rows), len(idx)))
-    for r, cells in enumerate(rows):
-        draws[r] = [float(cells[k]) for k in idx]
-    return Draws(draws)
+    return Draws(np.array(rows))
 
 
 # --- summaries, diagnostics, histograms ------------------------------------

@@ -132,10 +132,6 @@ class ChainConfig:
     burn_in: int = 1_000
     thin: int = 1
     seed: int = 0
-    init_tau1_sq: float = 0.5
-    init_tau2_sq: float = 0.5
-    init_r1: float = 0.3
-    init_r2: float = 0.3
     # The separate-model baseline: rho pinned at 0 and never moved.
     freeze_rho_at_zero: bool = False
 
@@ -144,6 +140,8 @@ class ChainConfig:
             raise ValueError("iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
+        if (self.iterations - self.burn_in) // self.thin < 1:
+            raise ValueError("iterations - burn_in must be at least thin, or no draw is stored")
 
 
 def joint_log_likelihood(data: Dataset, params: ParameterState) -> float:

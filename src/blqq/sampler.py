@@ -242,25 +242,24 @@ def _rw_mh(cur, to_free, from_free, log_target, step, gen):
     return cur, False
 
 
-def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig, joint: bool) -> float:
-    """Log conditional of sigma^2 plus log sigma^2, the log Jacobian of exp."""
+def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig) -> float:
+    """Log conditional of sigma^2 plus log sigma^2, the log Jacobian of exp.
+
+    At rho = 0 the latent residuals enter only as the constant -eta'eta/2,
+    which cancels in an MH ratio, so the rho-pinned chain runs this target too.
+    """
     nu0 = prior.sigma2_prior_dof
-    if joint:
-        bracket = _cross_quad(eta, phi, sigma2, rho) / (1.0 - rho * rho) \
-            + nu0 * prior.sigma2_prior_scale
-    else:
-        # rho frozen at 0 with cross-terms disabled: the latent residuals drop
-        # out of the conditional exactly.
-        bracket = float(phi @ phi) + nu0 * prior.sigma2_prior_scale
+    bracket = _cross_quad(eta, phi, sigma2, rho) / (1.0 - rho * rho) \
+        + nu0 * prior.sigma2_prior_scale
     return -0.5 * (n + nu0) * math.log(sigma2) - bracket / (2.0 * sigma2)
 
 
 def sample_sigma2_mh(state: ParameterState, ws: SamplerWorkspace, prior: PriorConfig,
-                     step: float, rng: RandomStream, joint: bool = True):
+                     step: float, rng: RandomStream):
     """Random-walk MH on log sigma^2."""
     n = ws.y.shape[0]
     return _rw_mh(state.sigma2, math.log, math.exp,
-                  lambda s2: _log_sigma2_target(s2, ws.eta, ws.phi, state.rho, n, prior, joint),
+                  lambda s2: _log_sigma2_target(s2, ws.eta, ws.phi, state.rho, n, prior),
                   step, rng.generator)
 
 
@@ -319,9 +318,10 @@ def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
                   step, rng.generator)
 
 
-def init_state(data: Dataset, prior: PriorConfig, cfg: ChainConfig):
+def init_state(data: Dataset):
     """Initialization: least squares for beta2/sigma^2, probit MLE for beta1,
-    sign-corrected link values for u, sample correlation for rho."""
+    sign-corrected link values for u, sample correlation for rho, and the
+    hypers at _INITIAL_HYPER."""
     X, y, z = data.X, data.y, data.z
     n, p = X.shape
 
@@ -344,13 +344,7 @@ def init_state(data: Dataset, prior: PriorConfig, cfg: ChainConfig):
     rho0 = min(max(rho0, -0.95), 0.95)
 
     state = ParameterState(beta1=beta1, beta2=beta2, sigma2=sigma2, rho=rho0, u=u0)
-    hyper = HyperState(
-        tau1_sq=cfg.init_tau1_sq,
-        tau2_sq=cfg.init_tau2_sq,
-        r1=cfg.init_r1,
-        r2=cfg.init_r2,
-    )
-    return state, hyper
+    return state, HyperState(**_INITIAL_HYPER)
 
 
 def _fit_probit(X, z, lam=0.0, max_iter=50):
@@ -415,9 +409,11 @@ _MH_TARGETS = ("sigma2", "rho", "r1", "r2")
 # Every MH step starts at _INITIAL_STEP and adapted steps stay inside
 # _STEP_BOUNDS. The ceiling has to be generous: when the data carry little
 # information about r its logit-scale posterior is heavy-tailed, and reaching
-# 0.35 acceptance needs steps well beyond 10.
+# 0.35 acceptance needs steps well beyond 10. Every chain starts its hypers at
+# _INITIAL_HYPER; like the steps, the start is no part of the target posterior.
 _INITIAL_STEP = 0.5
 _STEP_BOUNDS = (1e-3, 80.0)
+_INITIAL_HYPER = {"tau1_sq": 0.5, "tau2_sq": 0.5, "r1": 0.3, "r2": 0.3}
 
 
 def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
@@ -450,7 +446,7 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     tic = time.perf_counter()
     hits = {}
     state.sigma2, hits["sigma2"] = sample_sigma2_mh(state, ws, prior, steps["sigma2"],
-                                                    rngs["sigma2"], joint=joint)
+                                                    rngs["sigma2"])
     if joint:
         state.rho, hits["rho"] = sample_rho_mh(state, ws, steps["rho"], rngs["rho"])
     timings["sigma2_rho"] += time.perf_counter() - tic
@@ -472,7 +468,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     and draws stored after it."""
     if data.n < 2:
         raise ValueError("need n >= 2 rows and p >= 1 columns")
-    state, hyper = init_state(data, prior, cfg)
+    state, hyper = init_state(data)
     joint = not cfg.freeze_rho_at_zero
     if not joint:
         state.rho = 0.0

@@ -11,6 +11,7 @@ from scipy import integrate, stats
 
 import blqq.sampler as sampler_mod
 from blqq.distributions import RandomStream
+from blqq.model import HyperState
 
 
 def dense_blocks(X, sigma2, rho):
@@ -92,22 +93,30 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None):
     return m, v
 
 
-def pin_blocks(monkeypatch, *blocks, beta=None, tau_sq=None):
+def pin_blocks(monkeypatch, *blocks, beta=None, tau_sq=None, r=None):
     """Hold the named sampler blocks at their current values in run_chain.
 
     Each block sampler is replaced at its blqq.sampler global, where the scan
     looks it up, by a stub that returns the current value and draws nothing,
     so the blocks that still move consume their random streams as in a chain
     with no block pinned. Blocks: "u", "beta" (held at beta=(beta1, beta2)),
-    "sigma2", "rho", and "hyper", the tau^2 draws and r moves (both tau^2 held
-    at tau_sq).
+    "sigma2", "rho", and "hyper", the tau^2 draws and r moves, with the chain
+    started and held at tau1^2 = tau2^2 = tau_sq and r1 = r2 = r (init_state
+    is wrapped to start them there).
     """
+    init_state = sampler_mod.init_state
+
+    def init_pinned(data):
+        state, _ = init_state(data)
+        return state, HyperState(tau1_sq=tau_sq, tau2_sq=tau_sq, r1=r, r2=r)
+
     stubs = {
         "u": {"sample_u_sweep": lambda state, fc, ws, rng: state.u},
         "beta": {"sample_beta": lambda fc, rng: beta},
-        "sigma2": {"sample_sigma2_mh": lambda state, *args, **kw: (state.sigma2, False)},
+        "sigma2": {"sample_sigma2_mh": lambda state, *args: (state.sigma2, False)},
         "rho": {"sample_rho_mh": lambda state, *args: (state.rho, False)},
-        "hyper": {"sample_tau2": lambda *args: tau_sq,
+        "hyper": {"init_state": init_pinned,
+                  "sample_tau2": lambda *args: tau_sq,
                   "sample_r_mh": lambda *args, current: (current, False)},
     }
     for block in blocks:

@@ -40,8 +40,7 @@ def report(num, ok, detail):
 def replicate_args(seed, iterations=5000, burn_in=500):
     return argparse.Namespace(
         seed=seed, iterations=iterations, burn_in=burn_in, thin=1,
-        init_tau1_sq=0.5, init_tau2_sq=0.5,
-        init_r1=0.3, init_r2=0.3, nu=2.0, delta_sq=2.0, beta_a=0.1, beta_b=0.1)
+        nu=2.0, delta_sq=2.0, beta_a=0.1, beta_b=0.1)
 
 
 def test_criterion_1_loo_shortcut_oracle():
@@ -97,13 +96,13 @@ def test_criterion_2_tiny_posterior_oracle():
     orders = EffectOrders([1])
     prior = PriorConfig()
     # hyperparameters pinned so the prior variance is exactly 2.0 * 0.5 = 1.0
-    base = dict(init_tau1_sq=2.0, init_tau2_sq=2.0, init_r1=0.5, init_r2=0.5)
+    hyper = dict(tau_sq=2.0, r=0.5)
 
     # part A: beta means vs 2-D grid quadrature at the chain's fixed (sigma2, rho)
-    cfg = ChainConfig(iterations=42_000, burn_in=2_000, seed=11, **base)
-    state0, _ = init_state(data, prior, cfg)
+    cfg = ChainConfig(iterations=42_000, burn_in=2_000, seed=11)
+    state0, _ = init_state(data)
     with pytest.MonkeyPatch.context() as mp:
-        oracles.pin_blocks(mp, "sigma2", "rho", "hyper", tau_sq=2.0)
+        oracles.pin_blocks(mp, "sigma2", "rho", "hyper", **hyper)
         out = run_chain(data, orders, prior, cfg)
     grid = np.linspace(-6.0, 8.0, 241)
     g1, g2 = oracles.grid_quadrature_posterior_mean_beta(
@@ -112,11 +111,11 @@ def test_criterion_2_tiny_posterior_oracle():
     err2 = abs(float(out.beta2.mean()) - g2)
 
     # part B: rho draws vs 1-D quadrature with (beta, u, sigma2) fixed
-    cfg_r = ChainConfig(iterations=42_000, burn_in=2_000, seed=12, **base)
-    state_r, _ = init_state(data, prior, cfg_r)
+    cfg_r = ChainConfig(iterations=42_000, burn_in=2_000, seed=12)
+    state_r, _ = init_state(data)
     with pytest.MonkeyPatch.context() as mp:
         oracles.pin_blocks(mp, "u", "beta", "sigma2", "hyper",
-                           beta=(state_r.beta1, state_r.beta2), tau_sq=2.0)
+                           beta=(state_r.beta1, state_r.beta2), **hyper)
         out_r = run_chain(data, orders, prior, cfg_r)
     eta = state_r.u - data.X @ state_r.beta1
     phi = data.y - data.X @ state_r.beta2

@@ -69,10 +69,8 @@ def test_linear_half_matches_conjugate_posterior(monkeypatch):
     # once sigma2 is also frozen; check against the ridge formula
     data = small_data(seed=3, n=200, p=2)
     orders, prior = setup(data)
-    cfg = ChainConfig(iterations=4000, burn_in=500, seed=4,
-                      init_tau1_sq=1.0, init_tau2_sq=1.0,
-                      init_r1=0.5, init_r2=0.5)
-    oracles.pin_blocks(monkeypatch, "sigma2", "hyper", tau_sq=1.0)
+    cfg = ChainConfig(iterations=4000, burn_in=500, seed=4)
+    oracles.pin_blocks(monkeypatch, "sigma2", "hyper", tau_sq=1.0, r=0.5)
     sep = fit_sm_b(data, orders, prior, cfg)
     sigma2 = sep.sigma2[0]  # frozen at its initial value
     assert np.all(sep.sigma2 == sigma2) and np.all(sep.tau2_sq == 1.0) and np.all(sep.r2 == 0.5)

@@ -1,5 +1,8 @@
 import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,11 +183,16 @@ def test_predict_with_some_responses(tmp_path, keep):
         assert (tag in pred.read_text()) == (r in keep)
 
 
-@pytest.mark.parametrize("drop_rows, drop_column, message", [
-    (True, None, "no draws"), (False, "rho", "lacks column.*rho")])
-def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, message):
+@pytest.mark.parametrize("drop_rows, drop_column, bad_cell, message", [
+    pytest.param(True, None, None, "no draws", id="True-None-no draws"),
+    pytest.param(False, "rho", None, "lacks column.*rho", id="False-rho-lacks column.*rho"),
+    pytest.param(False, None, "rho", "line 2: non-numeric value 'abc' in column 'rho'",
+                 id="False-None-bad rho cell")])
+def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, bad_cell, message):
     _, out, train = fit_once(tmp_path, "fit")
     lines = [l.split(",") for l in data_rows(out / "chain.csv")]
+    if bad_cell:
+        lines[1][lines[0].index(bad_cell)] = "abc"
     keep = [k for k, name in enumerate(lines[0]) if name != drop_column]
     chain = tmp_path / "chain.csv"
     chain.write_text("".join(",".join(r[k] for k in keep) + "\n"
@@ -208,6 +216,50 @@ def test_one_row_file_predicts_but_does_not_fit(tmp_path, capsys):
         assert run(["fit", "--data", one, "--model", model, "--out-dir", tmp_path / model,
                     *FAST]) == 2
         assert "need n >= 2 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summarize", "fit", "predict-chain", "predict-data"])
+def test_missing_input_file_exit_2(tmp_path, command):
+    # run as a process: a missing file must end in an error line, not a traceback
+    _, out, train = fit_once(tmp_path, "fit")
+    missing = tmp_path / "missing.csv"
+    argv = {
+        "summarize": ["summarize", "--chain", missing, "--out", tmp_path / "s.csv"],
+        "fit": ["fit", "--data", missing, "--out-dir", tmp_path / "o", *FAST],
+        "predict-chain": ["predict", "--chain", missing, "--data", train,
+                          "--out", tmp_path / "p.csv"],
+        "predict-data": ["predict", "--chain", out / "chain.csv", "--data", missing,
+                         "--out", tmp_path / "p.csv"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "blqq.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "missing.csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_storing_no_draws_exit_2(tmp_path, capsys):
+    # (iterations - burn_in) // thin = 0: rejected before any sampling
+    _, _, train = fit_once(tmp_path, "fit")
+    few = ["--iterations", "10", "--burn-in", "5", "--thin", "10"]
+    out = tmp_path / "o"
+    assert run(["fit", "--data", train, "--out-dir", out, *few]) == 2
+    assert "no draw is stored" in capsys.readouterr().err
+    assert not (out / "chain.csv").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["replicate", "--p", "4", "--sparsity", "0.25", "--replicates", "1",
+                    *few, "--out-dir", tmp_path / "rep"]) == 2
+    assert not (tmp_path / "rep").exists()
+
+
+def test_dropped_start_value_flags_exit_2(capsys):
+    # the hypers start at a constant; the old flags are gone, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", "d.csv", "--out-dir", "o", "--init-r1", "0.5"])
+    assert exc.value.code == 2
+    assert "--init-r1" in capsys.readouterr().err
 
 
 def test_predict_dimension_mismatch(tmp_path, capsys):

@@ -60,6 +60,8 @@ def test_chain_config_validation():
         ChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ValueError):
         ChainConfig(iterations=0)
+    with pytest.raises(ValueError, match="no draw is stored"):
+        ChainConfig(iterations=10, burn_in=5, thin=10)
 
 
 def test_joint_log_likelihood_matches_quadrature():

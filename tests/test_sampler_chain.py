@@ -20,8 +20,7 @@ def default_setup(data):
 
 def test_init_state_basics():
     data = small_data()
-    orders, prior = default_setup(data)
-    state, hyper = init_state(data, prior, ChainConfig())
+    state, hyper = init_state(data)
     # u starts on the side its z dictates
     assert np.all((state.u >= 0) == (data.z == 1))
     assert -0.95 <= state.rho <= 0.95
@@ -36,9 +35,8 @@ def test_init_state_constant_z_falls_back():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((20, 2))
     data = Dataset(X, rng.standard_normal(20), np.ones(20, dtype=int))
-    orders, prior = default_setup(data)
     with pytest.warns(RuntimeWarning):
-        state, _ = init_state(data, prior, ChainConfig())
+        state, _ = init_state(data)
     assert np.all(np.isfinite(state.beta1))
     assert np.all(state.u >= 0)
 
@@ -49,9 +47,8 @@ def test_init_state_singular_design_falls_back():
     u = rng.standard_normal(20)
     data = Dataset(np.column_stack([col, col]), rng.standard_normal(20),
                    (u >= 0).astype(int))
-    orders, prior = default_setup(data)
     with pytest.warns(RuntimeWarning):
-        state, _ = init_state(data, prior, ChainConfig())
+        state, _ = init_state(data)
     assert np.all(np.isfinite(state.beta2))
 
 
@@ -99,7 +96,7 @@ def test_iterate_by_hand_reproduces_run_chain():
     cfg = ChainConfig(iterations=50, burn_in=0, seed=42)
     out = run_chain(data, orders, prior, cfg)
 
-    state, hyper = init_state(data, prior, cfg)
+    state, hyper = init_state(data)
     ws = SamplerWorkspace.build(data, state)
     root = RandomStream(cfg.seed)
     rngs = {name: root.substream(k) for k, name in enumerate(

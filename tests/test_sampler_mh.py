@@ -37,7 +37,7 @@ def test_sigma2_kernel_matches_conjugate_at_rho_zero():
     n = ws.y.shape[0]
     draws = np.empty(60_000)
     for t in range(draws.shape[0]):
-        val, _ = sample_sigma2_mh(state, ws, prior, 0.8, rng, joint=True)
+        val, _ = sample_sigma2_mh(state, ws, prior, 0.8, rng)
         state.sigma2 = val
         draws[t] = val
     dof = n + prior.sigma2_prior_dof
@@ -50,7 +50,8 @@ def test_sigma2_kernel_matches_conjugate_at_rho_zero():
 
 
 def test_sigma2_separate_target_ignores_latent_residuals():
-    # joint=False must give identical proposals/decisions when eta changes
+    # at rho = 0 the latent residuals enter the target only as a constant that
+    # cancels in the MH ratio: shifting eta must give identical decisions
     prior = PriorConfig()
     chains = []
     for bump in (0.0, 5.0):
@@ -59,7 +60,7 @@ def test_sigma2_separate_target_ignores_latent_residuals():
         rng = RandomStream(2)
         vals = []
         for _ in range(200):
-            val, _ = sample_sigma2_mh(state, ws, prior, 0.5, rng, joint=False)
+            val, _ = sample_sigma2_mh(state, ws, prior, 0.5, rng)
             state.sigma2 = val
             vals.append(val)
         chains.append(vals)

@@ -9,12 +9,16 @@ command at fixed seeds:
 - simulate at p=10 with 300 train and 200 test rows;
 - fit of that train file with --model blqq and --model smb, 600 iterations;
 - predict on the test file and summarize, for each fit;
+- predict with the blqq fit on 2000 test rows from a second simulate, so that
+  rows x stored draws (2000 x 500) spans several of predict_draws' row blocks;
 - replicate at p=30 with 2 replicates, 600 iterations.
 
 Run it on two checkouts and compare with `diff -r`: a change that leaves the
-draws alone must leave every file byte-identical. A change that only drops or
-adds `#` provenance lines is compared with those lines ignored; for the MH
-settings no longer written since the step sizes became a constant:
+draws alone must leave every file byte-identical. BLAS may round the
+prediction products differently with its thread count, so run both with the
+same OPENBLAS_NUM_THREADS (1, as the benchmark sets it). A change that only
+drops or adds `#` provenance lines is compared with those lines ignored; for
+the MH settings no longer written since the step sizes became a constant:
 
     diff -r -I '^#\(mh_step_\(sigma2\|rho\|r\)\|adapt_during_burnin\): ' before after
 
@@ -55,6 +59,12 @@ def main():
              "--out", os.path.join(out, f"predict_{model}.csv"))
         blqq("summarize", "--chain", os.path.join(fit, "chain.csv"),
              "--out", os.path.join(out, f"summarize_{model}.csv"))
+    wide = os.path.join(out, "sims_wide")
+    blqq("simulate", "--p", 10, "--n-train", 300, "--n-test", 2000, "--seed", 1,
+         "--out-dir", wide)
+    blqq("predict", "--chain", os.path.join(out, "fit_blqq", "chain.csv"),
+         "--data", os.path.join(wide, "rho0.85_p10_s0.2", "rep0_test.csv"),
+         "--out", os.path.join(out, "predict_blqq_wide.csv"))
     blqq("replicate", "--p", 30, "--replicates", 2, *chain,
          "--out-dir", os.path.join(out, "replicate"))
     n_files = sum(len(files) for _, _, files in os.walk(out))

@@ -188,7 +188,29 @@ def read_chain_csv(path) -> Draws:
         raise DatasetFormatError("chain file has no header row")
     if not rows:
         raise DatasetFormatError("chain file has no draws")
-    return Draws(np.array(rows))
+    draws = Draws(np.array(rows))
+    _check_support(draws)
+    return draws
+
+
+# Open interval each scalar draw must lie in; every other draw must be finite.
+_SUPPORT = {"sigma2": (0.0, np.inf), "rho": (-1.0, 1.0), "tau1_sq": (0.0, np.inf),
+            "tau2_sq": (0.0, np.inf), "r1": (0.0, 1.0), "r2": (0.0, 1.0)}
+
+
+def _check_support(chain: Draws):
+    """Raise on the first draw, in file order, holding a value its parameter
+    cannot take; draws are numbered from 1 in the order the file lists them."""
+    ok = np.isfinite(chain.draws)
+    for name, (lo, hi) in _SUPPORT.items():
+        col = chain.column(name)
+        ok[:, chain.names.index(name)] &= (lo < col) & (col < hi)
+    if not ok.all():
+        k, j = divmod(int(np.argmin(ok)), ok.shape[1])
+        name = chain.names[j]
+        lo, hi = _SUPPORT.get(name, (-np.inf, np.inf))
+        raise DatasetFormatError(f"draw {k + 1}: column {name!r} holds "
+                                 f"{_fmt(chain.draws[k, j])}, outside ({_fmt(lo)}, {_fmt(hi)})")
 
 
 # --- summaries, diagnostics, histograms ------------------------------------

@@ -214,6 +214,17 @@ class Draws:
     r2 = property(lambda self: self.column("r2"))
 
 
+# predict_draws works on blocks of _CELLS // S test rows, so each (rows, S)
+# temporary holds about _CELLS floats (2 MB) however many rows are predicted.
+# Each row is still summed over all its draws at once, so everything after
+# the products X @ beta.T is computed as for all rows together. The products
+# are BLAS's: numpy hands a one-row product to gemv, which rounds differently
+# from gemm, so no block has one row unless X has; and gemm itself may round
+# a few cells differently with the number of rows when S is not a multiple
+# of its column tile.
+_CELLS = 1 << 18
+
+
 def predict_draws(chain, X, y=None, z=None):
     """Posterior-mean predictions for every row of X.
 
@@ -226,22 +237,36 @@ def predict_draws(chain, X, y=None, z=None):
     untouched by the conditioning. The implied classifier is
     z_hat = 1 iff p_z1 >= 0.5.
     """
-    lin1 = X @ chain.beta1.T        # (n, S)
-    lin2 = X @ chain.beta2.T
+    b1t, b2t = chain.beta1.T, chain.beta2.T
     rho = np.asarray(chain.rho, dtype=float)
     sigma = np.sqrt(np.asarray(chain.sigma2, dtype=float))
+    y_scale = rho / sigma                   # per draw
+    root = np.sqrt(1.0 - rho * rho)
+    mills_scale = rho * sigma
     if y is not None:
-        s = (lin1 + (rho / sigma) * (np.asarray(y, dtype=float)[:, None] - lin2)) \
-            / np.sqrt(1.0 - rho * rho)
-        p_z1 = special.ndtr(s).mean(axis=1)
-    else:
-        p_z1 = special.ndtr(lin1).mean(axis=1)
+        y = np.asarray(y, dtype=float)[:, None]
     if z is not None:
-        zcol = np.asarray(z)[:, None]
-        # E[eps1 | z]: inverse Mills ratio on the half-line z dictates
-        lam = np.where(zcol == 1, inverse_mills(lin1), -inverse_mills(-lin1))
-        y_hat = (lin2 + (rho * sigma) * lam).mean(axis=1)
-    else:
-        y_hat = lin2.mean(axis=1)
+        # E[eps1 | z]: inverse Mills ratio on the half-line z dictates,
+        # +lambda(lin1) for z = 1 and -lambda(-lin1) for z = 0
+        sign = np.where(np.asarray(z) == 1, 1.0, -1.0)[:, None]
+    n = X.shape[0]
+    y_hat, p_z1 = np.empty(n), np.empty(n)
+    starts = list(range(0, n, max(2, _CELLS // rho.shape[0])))
+    if len(starts) > 1 and n - starts[-1] == 1:     # a lone last row joins the block before
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        rows = slice(lo, hi)
+        lin1 = X[rows] @ b1t                # (rows, S)
+        lin2 = X[rows] @ b2t
+        if y is not None:
+            s = (lin1 + y_scale * (y[rows] - lin2)) / root
+            p_z1[rows] = special.ndtr(s).mean(axis=1)
+        else:
+            p_z1[rows] = special.ndtr(lin1).mean(axis=1)
+        if z is not None:
+            lam = sign[rows] * inverse_mills(sign[rows] * lin1)
+            y_hat[rows] = (lin2 + mills_scale * lam).mean(axis=1)
+        else:
+            y_hat[rows] = lin2.mean(axis=1)
     z_hat = (p_z1 >= 0.5).astype(int)
     return y_hat, p_z1, z_hat

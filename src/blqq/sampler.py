@@ -24,7 +24,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .distributions import RandomStream, _draw_halfline, sample_scaled_inv_chi2
+from .distributions import _TINY, RandomStream, _draw_halfline, sample_scaled_inv_chi2
 from .model import (
     SCALAR_NAMES,
     ChainConfig,
@@ -47,6 +47,29 @@ class IllConditionedError(RuntimeError):
     def __init__(self, cond_estimate):
         self.cond_estimate = cond_estimate
         super().__init__(f"full-conditional system ill-conditioned (cond ~ {cond_estimate:.3e})")
+
+
+class PriorVarianceError(RuntimeError):
+    """Raised when a prior variance tau^2 * r^order is not a finite normal
+    float, e.g. when a high effect order underflows it, so that the precision
+    1/v would overflow."""
+
+
+def _prior_variances(orders: EffectOrders, hyper: HyperState):
+    """Prior variance diagonals v1, v2 of beta1 and beta2, checked before the
+    beta full conditional forms the precision 1/v from them."""
+    out = []
+    for block, tau_sq, r in (("beta1", hyper.tau1_sq, hyper.r1), ("beta2", hyper.tau2_sq, hyper.r2)):
+        v = prior_variance_diagonal(orders, tau_sq, r)
+        ok = (v >= _TINY) & (v < np.inf)       # False for nan as well
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise PriorVarianceError(
+                f"prior variance of {block}_{j + 1} (effect order {orders.orders[j]}) is "
+                f"tau^2 * r^order = {float(v[j])!r} at tau^2 = {tau_sq:.6g}, r = {r:.6g}; "
+                f"it must be finite and at least {_TINY:.6g}")
+        out.append(v)
+    return out
 
 
 @dataclass
@@ -424,8 +447,7 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     (joint chains only) rho, conjugate tau^2 draws, and MH moves for r1/r2.
     Adds each block's wall time to timings; returns {target: accepted} for
     every MH move made."""
-    v1 = prior_variance_diagonal(orders, hyper.tau1_sq, hyper.r1)
-    v2 = prior_variance_diagonal(orders, hyper.tau2_sq, hyper.r2)
+    v1, v2 = _prior_variances(orders, hyper)
 
     tic = time.perf_counter()
     fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
@@ -488,7 +510,8 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     for j in range(1, cfg.iterations + 1):
         try:
             hits = _iterate(state, hyper, ws, orders, prior, steps, rngs, joint, timings)
-        except (IllConditionedError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (IllConditionedError, PriorVarianceError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:
             raise RuntimeError(f"numeric failure at iteration {j}: {exc}") from exc
 
         if j <= cfg.burn_in:

@@ -5,12 +5,14 @@ oracles must stay independent of the shortcut formulas they validate.
 sweep_loo_moments is the other side of the comparison: it reads the
 leave-one-out moments off the sampler's own sweep. pin_blocks holds sampler
 blocks fixed for the oracles that need part of the posterior conditioned on.
+dense_predict is the all-rows prediction formula the row-blocked
+predict_draws must reproduce.
 """
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import blqq.sampler as sampler_mod
-from blqq.distributions import RandomStream
+from blqq.distributions import RandomStream, inverse_mills
 from blqq.model import HyperState
 
 
@@ -159,3 +161,27 @@ def grid_quadrature_posterior_mean_beta(X, y, z, sigma2, rho, v1, v2, grid):
     mean_b1 = float((w.sum(axis=1) * grid).sum())
     mean_b2 = float((w.sum(axis=0) * grid).sum())
     return mean_b1, mean_b2
+
+
+def dense_predict(chain, X, y=None, z=None):
+    """predict_draws with every (n, S) matrix formed at once, as it was before
+    it worked on blocks of rows."""
+    lin1 = X @ chain.beta1.T        # (n, S)
+    lin2 = X @ chain.beta2.T
+    rho = np.asarray(chain.rho, dtype=float)
+    sigma = np.sqrt(np.asarray(chain.sigma2, dtype=float))
+    if y is not None:
+        s = (lin1 + (rho / sigma) * (np.asarray(y, dtype=float)[:, None] - lin2)) \
+            / np.sqrt(1.0 - rho * rho)
+        p_z1 = special.ndtr(s).mean(axis=1)
+    else:
+        p_z1 = special.ndtr(lin1).mean(axis=1)
+    if z is not None:
+        zcol = np.asarray(z)[:, None]
+        # E[eps1 | z]: inverse Mills ratio on the half-line z dictates
+        lam = np.where(zcol == 1, inverse_mills(lin1), -inverse_mills(-lin1))
+        y_hat = (lin2 + (rho * sigma) * lam).mean(axis=1)
+    else:
+        y_hat = lin2.mean(axis=1)
+    z_hat = (p_z1 >= 0.5).astype(int)
+    return y_hat, p_z1, z_hat

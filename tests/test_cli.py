@@ -10,6 +10,7 @@ import pytest
 import blqq.cli as cli
 from blqq import io as bio
 from blqq.cli import main
+from blqq.model import Dataset, EffectOrders
 from blqq.simulate import SimulationScenario, gen_replicate
 
 FAST = ["--iterations", "200", "--burn-in", "50"]
@@ -183,16 +184,19 @@ def test_predict_with_some_responses(tmp_path, keep):
         assert (tag in pred.read_text()) == (r in keep)
 
 
-@pytest.mark.parametrize("drop_rows, drop_column, bad_cell, message", [
-    pytest.param(True, None, None, "no draws", id="True-None-no draws"),
-    pytest.param(False, "rho", None, "lacks column.*rho", id="False-rho-lacks column.*rho"),
-    pytest.param(False, None, "rho", "line 2: non-numeric value 'abc' in column 'rho'",
-                 id="False-None-bad rho cell")])
-def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, bad_cell, message):
+@pytest.mark.parametrize("drop_rows, drop_column, bad_cells, message", [
+    pytest.param(True, None, {}, "no draws", id="True-None-no draws"),
+    pytest.param(False, "rho", {}, "lacks column.*rho", id="False-rho-lacks column.*rho"),
+    pytest.param(False, None, {"rho": "abc"}, "line 2: non-numeric value 'abc' in column 'rho'",
+                 id="False-None-bad rho cell"),
+    pytest.param(False, None, {"rho": "1.0", "sigma2": "-2.0"},
+                 r"draw 1: column 'sigma2' holds -2\.0, outside \(0\.0, inf\)",
+                 id="False-None-draw outside support")])
+def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, bad_cells, message):
     _, out, train = fit_once(tmp_path, "fit")
     lines = [l.split(",") for l in data_rows(out / "chain.csv")]
-    if bad_cell:
-        lines[1][lines[0].index(bad_cell)] = "abc"
+    for column, cell in bad_cells.items():
+        lines[1][lines[0].index(column)] = cell
     keep = [k for k, name in enumerate(lines[0]) if name != drop_column]
     chain = tmp_path / "chain.csv"
     chain.write_text("".join(",".join(r[k] for k in keep) + "\n"
@@ -287,6 +291,26 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_chain", boom)
     assert run(["fit", "--data", train, "--out-dir", tmp_path / "o", *FAST]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order, code", [(40, 0), (700, 3)])
+def test_high_effect_order(tmp_path, order, code):
+    # 0.3^700 underflows to 0: the fit stops with a numeric error naming the
+    # column, before the precision 1/v is formed, and with no RuntimeWarning
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 3))
+    y = X @ [1.0, 0.5, 0.0] + rng.standard_normal(40)
+    z = (X @ [1.0, -1.0, 0.0] + rng.standard_normal(40) > 0).astype(int)
+    data = tmp_path / "data.csv"
+    bio.write_dataset_csv(data, Dataset(X, y, z), EffectOrders([1, 2, order]))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "blqq.cli", "fit",
+                           "--data", str(data), "--out-dir", str(tmp_path / "o"), *FAST],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr
+    if code:
+        assert "prior variance of beta1_3 (effect order 700)" in proc.stderr
 
 
 def test_replicate_small_grid(tmp_path):

@@ -108,6 +108,18 @@ def test_read_chain_short_row(tmp_path):
         bio.read_chain_csv(path)
 
 
+@pytest.mark.parametrize("column, value", [
+    ("sigma2", 0.0), ("rho", 1.0), ("rho", -1.0), ("tau1_sq", -0.5), ("tau2_sq", 0.0),
+    ("r1", 0.0), ("r2", 1.0), ("beta1_1", float("inf")), ("r1", float("nan"))])
+def test_read_chain_rejects_draw_outside_support(tmp_path, column, value):
+    chain = random_draws(np.random.default_rng(4), p=1, n=5)
+    chain.draws[2, chain.names.index(column)] = value
+    path = tmp_path / "chain.csv"
+    bio.write_chain_csv(path, chain)
+    with pytest.raises(bio.DatasetFormatError, match=f"draw 3: column '{column}' holds {value!r}"):
+        bio.read_chain_csv(path)
+
+
 def test_summary_and_diagnostics_files(tmp_path):
     from blqq.metrics import summarize_draws
     draws = np.random.default_rng(1).standard_normal((200, 2))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
 import oracles
+from blqq import model
 from blqq.model import (
     ChainConfig,
     Dataset,
@@ -147,3 +150,46 @@ def test_predict_averages_over_draws():
     y_hat, p_z1, _ = predict_draws(chain, np.array([[1.0]]))
     assert y_hat[0] == pytest.approx(3.0)
     assert p_z1[0] == pytest.approx(0.5, abs=1e-12)  # Phi(1) + Phi(-1) averages to 1/2
+
+
+def random_draws(rng, S, p):
+    return Draws(np.hstack([rng.standard_normal((S, 2 * p)), np.exp(rng.standard_normal((S, 1))),
+                            np.tanh(rng.standard_normal((S, 1))), np.full((S, 4), 0.5)]))
+
+
+@pytest.mark.parametrize("rows, n", [(8, 1), (8, 7), (8, 8), (8, 9), (8, 3 * 8 + 7),
+                                     (2, 2), (2, 3), (2, 5)])
+def test_predict_draws_blocks_match_dense(rows, n):
+    # rows test rows per block (two when the chain holds more than _CELLS
+    # draws). X and the coefficient draws are small dyadic rationals, so
+    # every cell of X @ beta.T is exact whatever order BLAS sums in; all the
+    # rest (the per-draw scalars, Phi, the Mills ratio, each row's mean over
+    # its draws) must then give the bytes of the all-rows formula
+    S = model._CELLS // rows - 3 if rows > 2 else model._CELLS + 5
+    rng = np.random.default_rng(n)
+    chain = random_draws(rng, S, 3)
+    chain.draws[:, :6] = rng.integers(-32, 33, (S, 6)) / 16.0
+    X = rng.integers(-32, 33, (n, 3)) / 8.0
+    y = 3.0 * rng.standard_normal(n)
+    z = rng.integers(0, 2, n)
+    for y_obs, z_obs in ((None, None), (y, None), (None, z), (y, z)):
+        got = predict_draws(chain, X, y=y_obs, z=z_obs)
+        want = oracles.dense_predict(chain, X, y=y_obs, z=z_obs)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_predict_draws_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc; no (n, S) matrix may be formed
+    n, S = 4000, 2000
+    rng = np.random.default_rng(0)
+    chain = random_draws(rng, S, 5)
+    X = rng.standard_normal((n, 5))
+    y = rng.standard_normal(n)
+    z = rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        predict_draws(chain, X, y=y, z=z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * S * 8, f"peak {peak / 2**20:.1f} MB"

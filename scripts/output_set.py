@@ -15,8 +15,8 @@ command at fixed seeds:
 
 Run it on two checkouts and compare with `diff -r`: a change that leaves the
 draws alone must leave every file byte-identical. BLAS may round the
-prediction products differently with its thread count, so run both with the
-same OPENBLAS_NUM_THREADS (1, as the benchmark sets it). A change that only
+prediction products differently with its thread count, so the commands run
+with OPENBLAS_NUM_THREADS=1, as the benchmark sets it. A change that only
 drops or adds `#` provenance lines is compared with those lines ignored; for
 the MH settings no longer written since the step sizes became a constant:
 
@@ -38,7 +38,7 @@ def main():
     src = os.path.join(checkout, "src")
     if not os.path.isfile(os.path.join(src, "blqq", "cli.py")):
         sys.exit(f"no blqq sources under {src}")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
     def blqq(*args):
         cmd = [sys.executable, "-m", "blqq.cli", *map(str, args)]

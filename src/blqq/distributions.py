@@ -1,4 +1,4 @@
-"""Distribution primitives and the seeded random stream used by the sampler.
+"""Distribution primitives used by the sampler.
 
 Only the handful of densities and samplers the Gibbs/MH engine actually needs
 live here; everything is built on numpy's Generator and scipy.special so the
@@ -7,7 +7,6 @@ numerics (normal log-CDF, log-scale branches) are solid in the tails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -16,31 +15,6 @@ from scipy import special
 # swapped for exponential-proposal rejection (tail-exact).
 _TAIL_SWITCH = 5.0
 _TINY = float(np.finfo(float).tiny)
-
-
-@dataclass
-class RandomStream:
-    """Reproducible random stream keyed by a 64-bit seed.
-
-    ``substream(k)`` is a pure function of ``(seed, k)`` (plus any parent
-    substream path), so replicate streams are independent by construction and
-    can be regenerated without running earlier replicates.
-    """
-
-    seed: int
-    path: tuple = ()
-    _gen: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        entropy = [int(self.seed)] + [int(k) for k in self.path]
-        self._gen = np.random.default_rng(np.random.SeedSequence(entropy))
-
-    def substream(self, k: int) -> "RandomStream":
-        return RandomStream(self.seed, self.path + (int(k),))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
 
 def std_normal_log_cdf(x):
@@ -89,7 +63,7 @@ def _draw_halfline(m: float, v: float, nonnegative: bool, uni: float,
     return val if val < 0.0 else -_TINY
 
 
-def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
+def sample_truncated_normal(mean, variance, side, gen: np.random.Generator, size=None):
     """Draw from N(mean, variance) restricted to a half-line.
 
     side="nonnegative" keeps [0, inf), side="negative" keeps (-inf, 0).
@@ -103,7 +77,6 @@ def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
     if side not in ("nonnegative", "negative"):
         raise ValueError(f"unknown side {side!r}")
     nonnegative = side == "nonnegative"
-    gen = rng.generator
     if size is None:
         return _draw_halfline(mean, variance, nonnegative, gen.random(), gen)
     return np.fromiter((_draw_halfline(mean, variance, nonnegative, uni, gen)
@@ -111,11 +84,11 @@ def sample_truncated_normal(mean, variance, side, rng: RandomStream, size=None):
                        dtype=float, count=size)
 
 
-def sample_scaled_inv_chi2(dof, scale, rng: RandomStream, size=None):
+def sample_scaled_inv_chi2(dof, scale, gen: np.random.Generator, size=None):
     """Scaled inverse-chi-square draw: dof*scale / chisq(dof)."""
     if dof <= 0 or scale <= 0:
         raise ValueError("dof and scale must be positive")
-    q = rng.generator.chisquare(dof, size=size)
+    q = gen.chisquare(dof, size=size)
     return dof * scale / q
 
 

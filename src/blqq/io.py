@@ -50,6 +50,12 @@ def _cell_float(cell, lineno, column) -> float:
             f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
 
 
+def _check_header(header, lineno):
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise DatasetFormatError(f"line {lineno}: repeated column {name!r}")
+
+
 # --- dataset ---------------------------------------------------------------
 
 def parse_dataset_csv(path, require_responses: bool = True):
@@ -73,13 +79,15 @@ def parse_dataset_csv(path, require_responses: bool = True):
                 body = line[1:].strip()
                 if body.startswith("orders:"):
                     try:
-                        orders_spec = [int(tok) for tok in body[len("orders:"):].split(",")]
-                    except ValueError:
+                        orders_spec = np.array(
+                            [int(tok) for tok in body[len("orders:"):].split(",")], dtype=int)
+                    except (ValueError, OverflowError):
                         raise DatasetFormatError(f"line {lineno}: malformed #orders: entry")
                 continue
             cells = next(csv.reader([line]))
             if header is None:
                 header = [c.strip() for c in cells]
+                _check_header(header, lineno)
             else:
                 rows.append((lineno, cells))
 
@@ -122,7 +130,7 @@ def parse_dataset_csv(path, require_responses: bool = True):
         if len(orders_spec) != len(pred_idx):
             raise DatasetFormatError(
                 f"#orders: lists {len(orders_spec)} entries for {len(pred_idx)} predictors")
-        orders = EffectOrders(np.array(orders_spec))
+        orders = EffectOrders(orders_spec)
     else:
         orders = EffectOrders(np.ones(len(pred_idx), dtype=int))
 
@@ -174,6 +182,7 @@ def read_chain_csv(path) -> Draws:
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
+                _check_header(header, lineno)
                 idx = _draw_column_index(header)
             elif len(cells) != len(header):
                 raise DatasetFormatError(

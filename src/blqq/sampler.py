@@ -24,7 +24,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .distributions import _TINY, RandomStream, _draw_halfline, sample_scaled_inv_chi2
+from .distributions import _TINY, _draw_halfline, sample_scaled_inv_chi2
 from .model import (
     SCALAR_NAMES,
     ChainConfig,
@@ -174,7 +174,7 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
 
 
 def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
-                   ws: SamplerWorkspace, rng: RandomStream) -> np.ndarray:
+                   ws: SamplerWorkspace, gen: np.random.Generator) -> np.ndarray:
     """One in-order sweep of u_1..u_n from their leave-one-out conditionals.
 
     Each u_i is drawn from N(m_i, v_i) truncated to the half-line dictated by
@@ -197,7 +197,6 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     w = rho / math.sqrt(sigma2)
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
-    gen = rng.generator
 
     S = fc.sigma_beta[:p] - w * fc.sigma_beta[p:]     # E' Sigma_beta
     R = X @ (S[:, :p] - w * S[:, p:])
@@ -237,9 +236,9 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     return u
 
 
-def sample_beta(fc: FullConditionalBeta, rng: RandomStream):
+def sample_beta(fc: FullConditionalBeta, gen: np.random.Generator):
     """One joint draw of (beta1, beta2) from the cached full conditional."""
-    eps = rng.generator.standard_normal(fc.mu_beta.shape[0])
+    eps = gen.standard_normal(fc.mu_beta.shape[0])
     draw = fc.mu_beta + fc.chol_inv.T @ eps
     p = draw.shape[0] // 2
     return draw[:p], draw[p:]
@@ -278,12 +277,12 @@ def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig) -> float:
 
 
 def sample_sigma2_mh(state: ParameterState, ws: SamplerWorkspace, prior: PriorConfig,
-                     step: float, rng: RandomStream):
+                     step: float, gen: np.random.Generator):
     """Random-walk MH on log sigma^2."""
     n = ws.y.shape[0]
     return _rw_mh(state.sigma2, math.log, math.exp,
                   lambda s2: _log_sigma2_target(s2, ws.eta, ws.phi, state.rho, n, prior),
-                  step, rng.generator)
+                  step, gen)
 
 
 def _log_rho_target(rho, eta, phi, sigma2, n) -> float:
@@ -296,15 +295,17 @@ def _log_rho_target(rho, eta, phi, sigma2, n) -> float:
         - _cross_quad(eta, phi, sigma2, rho) / (2.0 * sigma2 * one_m)
 
 
-def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float, rng: RandomStream):
+def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float,
+                  gen: np.random.Generator):
     """Random-walk MH on atanh(rho)."""
     n = ws.y.shape[0]
     return _rw_mh(state.rho, math.atanh, math.tanh,
                   lambda rho: _log_rho_target(rho, ws.eta, ws.phi, state.sigma2, n),
-                  step, rng.generator)
+                  step, gen)
 
 
-def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig, rng: RandomStream) -> float:
+def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig,
+                gen: np.random.Generator) -> float:
     """Conjugate scaled-inv-chi^2 draw for one prior variance tau_k^2."""
     beta_k = np.asarray(beta_k, dtype=float)
     rpow = np.power(float(r_k), orders.orders.astype(float))
@@ -312,7 +313,7 @@ def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig, rng: Rand
     p = beta_k.shape[0]
     dof = prior.nu + p
     scale = (quad + prior.nu * prior.delta_sq) / dof
-    return float(sample_scaled_inv_chi2(dof, scale, rng))
+    return float(sample_scaled_inv_chi2(dof, scale, gen))
 
 
 def _log_r_target(r, beta_sq, orders_f, tau_sq, a, b) -> float:
@@ -329,7 +330,7 @@ def _expit_clamped(x: float) -> float:
 
 
 def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
-                step: float, rng: RandomStream, current: float):
+                step: float, gen: np.random.Generator, current: float):
     """Random-walk MH on logit(r) for one shrinkage decay parameter."""
     beta_sq = np.asarray(beta_k, dtype=float) ** 2
     orders_f = orders.orders.astype(float)
@@ -338,7 +339,7 @@ def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
         raise ValueError("current r must lie in (0, 1)")
     return _rw_mh(cur, lambda r: math.log(r) - math.log1p(-r), _expit_clamped,
                   lambda r: _log_r_target(r, beta_sq, orders_f, tau_sq_k, prior.a, prior.b),
-                  step, rng.generator)
+                  step, gen)
 
 
 def init_state(data: Dataset):
@@ -495,8 +496,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     if not joint:
         state.rho = 0.0
 
-    root = RandomStream(cfg.seed)
-    rngs = {name: root.substream(k) for k, name in enumerate(
+    rngs = {name: np.random.default_rng([cfg.seed, k]) for k, name in enumerate(
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
     ws = SamplerWorkspace.build(data, state)
 

@@ -7,14 +7,13 @@ study workflow (the real data cannot be redistributed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RandomStream
 from .model import Dataset
 
-# Reserved substream index for coefficient draws shared across replicates.
+# Seed key [base_seed, _SHARED_COEF_STREAM] of coefficients shared across replicates.
 _SHARED_COEF_STREAM = 2**32
 
 
@@ -36,6 +35,9 @@ class SimulationScenario:
         k = self.sparsity * self.p
         if abs(k - round(k)) > 1e-9:
             raise ValueError("sparsity * p must be an integer")
+        for name in ("p", "replicates", "n_train", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -58,14 +60,13 @@ def gen_ar1_covariance(p: int) -> np.ndarray:
     return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
-def gen_sparse_coefficients(p: int, s: float, rng: RandomStream) -> np.ndarray:
+def gen_sparse_coefficients(p: int, s: float, gen: np.random.Generator) -> np.ndarray:
     """Coefficient vector with exactly s*p nonzeros at random positions; each
     nonzero is |N(3,1)| with an independent fair-coin sign."""
     k = s * p
     if abs(k - round(k)) > 1e-9:
         raise ValueError("s * p must be an integer")
     k = int(round(k))
-    gen = rng.generator
     beta = np.zeros(p)
     support = gen.choice(p, size=k, replace=False)
     mags = np.abs(gen.normal(3.0, 1.0, size=k))
@@ -88,15 +89,13 @@ def _draw_split(gen, n, p, chol_x, beta1, beta2, rho, sigma2):
 
 def gen_replicate(scenario: SimulationScenario, k: int) -> GeneratedReplicate:
     """Generate replicate k; regenerating from (base_seed, k) is bit-identical."""
-    root = RandomStream(scenario.base_seed)
-    if scenario.fix_coefficients:
-        coef_rng = root.substream(_SHARED_COEF_STREAM)
-    else:
-        coef_rng = root.substream(k).substream(0)
-    beta1 = gen_sparse_coefficients(scenario.p, scenario.sparsity, coef_rng)
-    beta2 = gen_sparse_coefficients(scenario.p, scenario.sparsity, coef_rng)
+    seed = scenario.base_seed
+    coef_gen = np.random.default_rng(
+        [seed, _SHARED_COEF_STREAM] if scenario.fix_coefficients else [seed, k, 0])
+    beta1 = gen_sparse_coefficients(scenario.p, scenario.sparsity, coef_gen)
+    beta2 = gen_sparse_coefficients(scenario.p, scenario.sparsity, coef_gen)
 
-    data_gen = root.substream(k).substream(1).generator
+    data_gen = np.random.default_rng([seed, k, 1])
     chol_x = np.linalg.cholesky(gen_ar1_covariance(scenario.p))
     Xtr, ytr, ztr, utr = _draw_split(data_gen, scenario.n_train, scenario.p, chol_x,
                                      beta1, beta2, scenario.rho_true, scenario.sigma2_true)
@@ -137,7 +136,7 @@ def gen_birth_records(seed: int, n: int = 1000, rho: float = -0.85) -> Dataset:
     bivariate normal residual with correlation rho, so a joint fit on the
     standardized response should recover a correlation near rho.
     """
-    gen = RandomStream(seed).generator
+    gen = np.random.default_rng(seed)
     day = gen.integers(1, 367, size=n).astype(float)
     weekend = gen.binomial(1, 2.0 / 7.0, size=n).astype(float)
     age = np.clip(gen.normal(28.0, 6.0, size=n), 14.0, 50.0)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate, special, stats
 
 import blqq.sampler as sampler_mod
-from blqq.distributions import RandomStream, inverse_mills
+from blqq.distributions import inverse_mills
 from blqq.model import HyperState
 
 
@@ -88,7 +88,7 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None):
     if denom_floor is not None:
         sampler_mod._DENOM_FLOOR = denom_floor
     try:
-        sampler_mod.sample_u_sweep(state, fc, ws, RandomStream(0))
+        sampler_mod.sample_u_sweep(state, fc, ws, np.random.default_rng(0))
     finally:
         sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR = saved
     m, v = np.array(seen).T

@@ -16,7 +16,6 @@ import oracles
 from blqq import io as bio
 from blqq.cli import _aggregate, main, run_setting
 from blqq.distributions import (
-    RandomStream,
     sample_scaled_inv_chi2,
     sample_truncated_normal,
 )
@@ -211,7 +210,7 @@ def test_criterion_7_distribution_primitives():
     n = 1_000_000
     # truncated normal, a truncation point inside the bulk
     mean, var = 0.5, 2.0
-    draws = sample_truncated_normal(mean, var, "nonnegative", RandomStream(70), size=n)
+    draws = sample_truncated_normal(mean, var, "nonnegative", np.random.default_rng(70), size=n)
     ref = stats.truncnorm(-mean / math.sqrt(var), np.inf, loc=mean, scale=math.sqrt(var))
     m_t, v_t = (float(x) for x in ref.stats(moments="mv"))
     dm = abs(draws.mean() - m_t) / math.sqrt(v_t / n)
@@ -219,7 +218,7 @@ def test_criterion_7_distribution_primitives():
     ks_t = stats.kstest(draws, ref.cdf).statistic
 
     dof, scale = 8.0, 1.7
-    ichi = sample_scaled_inv_chi2(dof, scale, RandomStream(71), size=n)
+    ichi = sample_scaled_inv_chi2(dof, scale, np.random.default_rng(71), size=n)
     m_i = dof * scale / (dof - 2.0)
     v_i = 2.0 * dof**2 * scale**2 / ((dof - 2.0) ** 2 * (dof - 4.0))
     dm_i = abs(ichi.mean() - m_i) / math.sqrt(v_i / n)

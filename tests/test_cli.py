@@ -313,6 +313,38 @@ def test_high_effect_order(tmp_path, order, code):
         assert "prior variance of beta1_3 (effect order 700)" in proc.stderr
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
+     "line 1: repeated column 'y'"),
+    (["#orders: 1,99999999999999999999", "x1,x2,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0"],
+     "line 1: malformed #orders: entry")], ids=["repeated-column", "oversized-order"])
+def test_malformed_header_exit_2(tmp_path, lines, message):
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "blqq.cli", "fit", "--data", str(data),
+                           "--out-dir", str(tmp_path / "o"), *FAST],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replicates", "0"], ["simulate", "--replicates", "-2"],
+    ["simulate", "--n-train", "0"], ["simulate", "--n-test", "0"],
+    ["simulate", "--p", "0"], ["replicate", "--replicates", "0", *FAST]],
+    ids=["simulate-replicates-0", "simulate-replicates-neg", "simulate-n-train-0",
+         "simulate-n-test-0", "simulate-p-0", "replicate-replicates-0"])
+def test_count_below_one_exit_2(tmp_path, capsys, argv):
+    # rejected before anything is written
+    out = tmp_path / "out"
+    command, *flags = argv
+    assert run([command, "--p", "4", "--sparsity", "0.25", *flags, "--out-dir", out]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replicate_small_grid(tmp_path):
     out = tmp_path / "rep"
     assert run(["replicate", "--rho", "0.85", "--p", "4", "--sparsity", "0.25",

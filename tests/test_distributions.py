@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from blqq.distributions import (
-    RandomStream,
     inverse_mills,
     sample_scaled_inv_chi2,
     sample_truncated_normal,
@@ -28,7 +27,7 @@ def test_cdf_rejects_non_finite():
 
 
 def test_truncated_normal_half_normal_mean():
-    rng = RandomStream(7)
+    rng = np.random.default_rng(7)
     draws = sample_truncated_normal(0.0, 1.0, "nonnegative", rng, size=N_MOMENT)
     assert np.all(draws >= 0)
     expected = math.sqrt(2 / math.pi)
@@ -37,13 +36,13 @@ def test_truncated_normal_half_normal_mean():
 
 
 def test_truncated_normal_negligible_truncation():
-    rng = RandomStream(8)
+    rng = np.random.default_rng(8)
     draws = sample_truncated_normal(10.0, 1.0, "nonnegative", rng, size=N_MOMENT)
     assert draws.mean() == pytest.approx(10.0, abs=0.01)
 
 
 def test_truncated_normal_negative_side_mirror():
-    rng = RandomStream(9)
+    rng = np.random.default_rng(9)
     draws = sample_truncated_normal(0.0, 1.0, "negative", rng, size=N_MOMENT)
     assert np.all(draws < 0)
     expected = -math.sqrt(2 / math.pi)
@@ -53,7 +52,7 @@ def test_truncated_normal_negative_side_mirror():
 @pytest.mark.parametrize("mean", [-8.0, -6.0, -3.0, -1.0, 0.0, 1.5, 4.0, 8.0])
 def test_truncated_normal_moments_match_scipy(mean):
     # scipy.stats.truncnorm is the independent oracle for both moments
-    rng = RandomStream(100 + int(mean * 10))
+    rng = np.random.default_rng(100 + int(mean * 10))
     n = N_MOMENT
     draws = sample_truncated_normal(mean, 1.0, "nonnegative", rng, size=n)
     ref = stats.truncnorm(-mean, np.inf, loc=mean, scale=1.0)
@@ -67,7 +66,7 @@ def test_truncated_normal_moments_match_scipy(mean):
 
 def test_truncated_normal_far_tail_exact():
     # truncation point 10 sd into the tail exercises the rejection branch
-    rng = RandomStream(11)
+    rng = np.random.default_rng(11)
     draws = sample_truncated_normal(-10.0, 1.0, "nonnegative", rng, size=50_000)
     assert np.all(draws >= 0)
     ref = stats.truncnorm(10.0, np.inf)
@@ -77,7 +76,7 @@ def test_truncated_normal_far_tail_exact():
 
 
 def test_truncated_normal_rejects_bad_args():
-    rng = RandomStream(1)
+    rng = np.random.default_rng(1)
     with pytest.raises(ValueError):
         sample_truncated_normal(0.0, 0.0, "nonnegative", rng)
     with pytest.raises(ValueError):
@@ -85,7 +84,7 @@ def test_truncated_normal_rejects_bad_args():
 
 
 def test_scaled_inv_chi2_mean():
-    rng = RandomStream(12)
+    rng = np.random.default_rng(12)
     draws = sample_scaled_inv_chi2(10.0, 2.0, rng, size=N_MOMENT)
     assert np.all(draws > 0)
     # analytic mean nu*delta^2/(nu-2)
@@ -94,13 +93,13 @@ def test_scaled_inv_chi2_mean():
 
 def test_scaled_inv_chi2_matches_transformation():
     seed = 13
-    draw = sample_scaled_inv_chi2(10.0, 2.0, RandomStream(seed))
-    q = RandomStream(seed).generator.chisquare(10.0)
+    draw = sample_scaled_inv_chi2(10.0, 2.0, np.random.default_rng(seed))
+    q = np.random.default_rng(seed).chisquare(10.0)
     assert draw == pytest.approx(10.0 * 2.0 / q, rel=1e-15)
 
 
 def test_scaled_inv_chi2_ks_against_exact_cdf():
-    rng = RandomStream(14)
+    rng = np.random.default_rng(14)
     draws = sample_scaled_inv_chi2(5.0, 1.5, rng, size=N_MOMENT)
     cdf = lambda x: 1.0 - stats.chi2.cdf(5.0 * 1.5 / x, 5.0)
     stat = stats.kstest(draws, cdf).statistic
@@ -119,23 +118,9 @@ def test_inverse_mills_values():
     assert arr.shape == (2,)
 
 
-def test_stream_reproducibility():
-    a = RandomStream(42).generator.standard_normal(10)
-    b = RandomStream(42).generator.standard_normal(10)
-    assert np.array_equal(a, b)
-
-
-def test_substream_pure_function_of_seed_and_index():
-    a = RandomStream(42).substream(3).generator.standard_normal(5)
-    b = RandomStream(42).substream(3).generator.standard_normal(5)
-    c = RandomStream(42).substream(4).generator.standard_normal(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_truncated_normal_draws_bit_identical_across_streams():
-    a = [sample_truncated_normal(0.3, 2.0, "nonnegative", RandomStream(5).substream(1))
+    a = [sample_truncated_normal(0.3, 2.0, "nonnegative", np.random.default_rng([5, 1]))
          for _ in range(1)]
-    b = [sample_truncated_normal(0.3, 2.0, "nonnegative", RandomStream(5).substream(1))
+    b = [sample_truncated_normal(0.3, 2.0, "nonnegative", np.random.default_rng([5, 1]))
          for _ in range(1)]
     assert a == b

@@ -59,6 +59,23 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         bio.parse_dataset_csv(path)
 
 
+def test_parse_rejects_repeated_column(tmp_path):
+    # a second 'y' would otherwise be read as a predictor named 'y', and a
+    # write -> parse round trip would swap it with the response
+    path = tmp_path / "dup.csv"
+    write_lines(path, ["#seed: 0", "x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0",
+                       "0.2,0.1,5.0,1"])
+    with pytest.raises(bio.DatasetFormatError, match="line 2: repeated column 'y'"):
+        bio.parse_dataset_csv(path)
+
+
+def test_parse_rejects_oversized_order(tmp_path):
+    path = tmp_path / "big.csv"
+    write_lines(path, ["#orders: 1,99999999999999999999", "x1,x2,y,z", "1.0,2.0,3.0,1"])
+    with pytest.raises(bio.DatasetFormatError, match="line 1: malformed #orders: entry"):
+        bio.parse_dataset_csv(path)
+
+
 def test_parse_without_responses(tmp_path):
     path = tmp_path / "x.csv"
     write_lines(path, ["x1,x2", "1.0,2.0", "0.5,1.5"])
@@ -105,6 +122,15 @@ def test_read_chain_short_row(tmp_path):
     path = tmp_path / "chain.csv"
     write_lines(path, ["#seed: 1", ",".join(draw_columns(1)), "1.0,2.0"])
     with pytest.raises(bio.DatasetFormatError, match="line 3: expected 8 cells"):
+        bio.read_chain_csv(path)
+
+
+def test_read_chain_rejects_repeated_column(tmp_path):
+    chain = random_draws(np.random.default_rng(5), p=1, n=3)
+    path = tmp_path / "chain.csv"
+    write_lines(path, ["#seed: 1", ",".join(chain.names + ["rho"])]
+                + [",".join(repr(float(v)) for v in [*row, 0.5]) for row in chain.draws])
+    with pytest.raises(bio.DatasetFormatError, match="line 2: repeated column 'rho'"):
         bio.read_chain_csv(path)
 
 

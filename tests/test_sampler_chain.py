@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from blqq.distributions import RandomStream
 from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
 from blqq.sampler import _INITIAL_STEP, SamplerWorkspace, _iterate, init_state, run_chain
 from blqq.simulate import SimulationScenario, gen_replicate
@@ -98,8 +97,7 @@ def test_iterate_by_hand_reproduces_run_chain():
 
     state, hyper = init_state(data)
     ws = SamplerWorkspace.build(data, state)
-    root = RandomStream(cfg.seed)
-    rngs = {name: root.substream(k) for k, name in enumerate(
+    rngs = {name: np.random.default_rng([cfg.seed, k]) for k, name in enumerate(
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
     steps = dict.fromkeys(("sigma2", "rho", "r1", "r2"), _INITIAL_STEP)
     timings = dict.fromkeys(("u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import oracles
-from blqq.distributions import RandomStream
 from blqq.model import Dataset, ParameterState
 from blqq.sampler import (
     IllConditionedError,
@@ -89,7 +88,7 @@ def test_sweep_respects_signs_and_statistic():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(40, 40, 4)
     ws, state = make_ws(X, y, u, z, sigma2, rho)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
-    out = sample_u_sweep(state, fc, ws, RandomStream(99))
+    out = sample_u_sweep(state, fc, ws, np.random.default_rng(99))
     assert out is state.u
     assert np.all(out[z == 1] >= 0)
     assert np.all(out[z == 0] < 0)
@@ -104,7 +103,7 @@ def test_sweep_deterministic_under_seed():
     for _ in range(2):
         ws, state = make_ws(X, y, u, z, sigma2, rho)
         fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
-        outs.append(sample_u_sweep(state, fc, ws, RandomStream(7)).copy())
+        outs.append(sample_u_sweep(state, fc, ws, np.random.default_rng(7)).copy())
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -127,7 +126,7 @@ def test_sweep_tail_branch_runs():
     for _ in range(2):
         ws, state = make_ws(X, y, u, z, sigma2, rho)
         fc = compute_beta_full_conditional(ws, sigma2, rho, v, v)
-        outs.append(sample_u_sweep(state, fc, ws, RandomStream(9)).copy())
+        outs.append(sample_u_sweep(state, fc, ws, np.random.default_rng(9)).copy())
         assert np.all((outs[-1] >= 0) == (z == 1))
         # the tail draw lies just below 0 (excess ~ sd/alpha), not at the
         # nudge that replaces an exact 0
@@ -154,7 +153,7 @@ def test_sweep_fallback_branch_runs(monkeypatch):
     ws, state = make_ws(X, y, u, z, sigma2, rho)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     monkeypatch.setattr(sampler_mod, "_DENOM_FLOOR", 2.0)
-    out = sample_u_sweep(state, fc, ws, RandomStream(8))
+    out = sample_u_sweep(state, fc, ws, np.random.default_rng(8))
     assert ws.loo_fallbacks == 10
     assert np.all((out >= 0) == (z == 1))
     assert np.allclose(ws.xtu, X.T @ out, rtol=1e-10, atol=1e-10)
@@ -164,7 +163,7 @@ def test_sample_beta_mean_and_covariance():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(50, 20, 2)
     ws, _ = make_ws(X, y, u, z)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
-    rng = RandomStream(51)
+    rng = np.random.default_rng(51)
     draws = np.array([np.concatenate(sample_beta(fc, rng)) for _ in range(40_000)])
     assert np.allclose(draws.mean(axis=0), fc.mu_beta, atol=0.01)
     assert np.allclose(np.cov(draws.T), fc.sigma_beta, atol=0.01)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blqq.distributions import RandomStream
 from blqq.model import Dataset, EffectOrders, ParameterState, PriorConfig
 from blqq.sampler import (
     SamplerWorkspace,
@@ -33,7 +32,7 @@ def test_sigma2_kernel_matches_conjugate_at_rho_zero():
     # with rho = 0 the conditional is scaled inverse chi-square in closed form
     state, ws = fixed_residual_setup(rho=0.0)
     prior = PriorConfig()
-    rng = RandomStream(1)
+    rng = np.random.default_rng(1)
     n = ws.y.shape[0]
     draws = np.empty(60_000)
     for t in range(draws.shape[0]):
@@ -57,7 +56,7 @@ def test_sigma2_separate_target_ignores_latent_residuals():
     for bump in (0.0, 5.0):
         state, ws = fixed_residual_setup(rho=0.0)
         ws.eta = ws.eta + bump
-        rng = RandomStream(2)
+        rng = np.random.default_rng(2)
         vals = []
         for _ in range(200):
             val, _ = sample_sigma2_mh(state, ws, prior, 0.5, rng)
@@ -84,7 +83,7 @@ def test_rho_kernel_matches_grid_posterior():
     grid_mean = float(w @ grid)
     grid_sd = float(np.sqrt(w @ (grid - grid_mean) ** 2))
 
-    rng = RandomStream(4)
+    rng = np.random.default_rng(4)
     draws = np.empty(60_000)
     for t in range(draws.shape[0]):
         val, _ = sample_rho_mh(state, ws, 0.5, rng)
@@ -97,7 +96,7 @@ def test_rho_kernel_matches_grid_posterior():
 
 def test_rho_kernel_stays_in_open_interval():
     state, ws = fixed_residual_setup(seed=5)
-    rng = RandomStream(6)
+    rng = np.random.default_rng(6)
     for _ in range(2000):
         val, _ = sample_rho_mh(state, ws, 2.0, rng)
         state.rho = val
@@ -114,11 +113,11 @@ def test_tau2_conjugate_closed_form():
     dof = 2.0 + 3.0
     scale = (quad + 2.0 * 2.0) / dof
     seed = 7
-    draw = sample_tau2(beta, orders, r, prior, RandomStream(seed))
-    q = RandomStream(seed).generator.chisquare(dof)
+    draw = sample_tau2(beta, orders, r, prior, np.random.default_rng(seed))
+    q = np.random.default_rng(seed).chisquare(dof)
     assert draw == pytest.approx(dof * scale / q, rel=1e-12)
     # long-run mean dof*scale/(dof-2)
-    rng = RandomStream(8)
+    rng = np.random.default_rng(8)
     draws = np.array([sample_tau2(beta, orders, r, prior, rng) for _ in range(100_000)])
     assert draws.mean() == pytest.approx(dof * scale / (dof - 2.0), rel=0.05)
 
@@ -142,7 +141,7 @@ def test_r_kernel_matches_grid_posterior():
     w /= w.sum()
     grid_mean = float(w @ grid)
 
-    rng = RandomStream(9)
+    rng = np.random.default_rng(9)
     cur = 0.3
     draws = np.empty(60_000)
     for t in range(draws.shape[0]):
@@ -155,14 +154,14 @@ def test_r_kernel_validates_current():
     prior = PriorConfig()
     eff = EffectOrders([1])
     with pytest.raises(ValueError):
-        sample_r_mh(np.array([1.0]), 0.5, eff, prior, 0.5, RandomStream(0), current=1.5)
+        sample_r_mh(np.array([1.0]), 0.5, eff, prior, 0.5, np.random.default_rng(0), current=1.5)
 
 
 def test_kernels_accept_and_reject():
     # with a sane step both outcomes occur
     state, ws = fixed_residual_setup(seed=10)
     prior = PriorConfig()
-    rng = RandomStream(11)
+    rng = np.random.default_rng(11)
     flags = []
     for _ in range(500):
         val, acc = sample_sigma2_mh(state, ws, prior, 0.8, rng)
@@ -189,5 +188,5 @@ def test_kernels_survive_step_ceiling(kernel):
     }
     move, in_support = moves[kernel]
     for seed in range(200):
-        val, _ = move(RandomStream(seed))
+        val, _ = move(np.random.default_rng(seed))
         assert in_support(val), (seed, val)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from blqq.distributions import RandomStream
 from blqq.simulate import (
     BIRTH_COLUMNS,
     SimulationScenario,
@@ -24,19 +23,19 @@ def test_ar1_covariance_values():
 
 
 def test_sparse_coefficients_support_and_magnitudes():
-    beta = gen_sparse_coefficients(10, 0.2, RandomStream(0))
+    beta = gen_sparse_coefficients(10, 0.2, np.random.default_rng(0))
     nz = beta[beta != 0]
     assert nz.shape[0] == 2
     # |N(3,1)| magnitudes land well away from zero almost surely
     assert np.all(np.abs(nz) > 0.01)
     with pytest.raises(ValueError):
-        gen_sparse_coefficients(10, 0.25, RandomStream(0))
+        gen_sparse_coefficients(10, 0.25, np.random.default_rng(0))
 
 
 def test_sparse_coefficients_sign_balance():
     signs = []
     for k in range(400):
-        beta = gen_sparse_coefficients(4, 0.25, RandomStream(1000 + k))
+        beta = gen_sparse_coefficients(4, 0.25, np.random.default_rng(1000 + k))
         signs.append(np.sign(beta[beta != 0][0]))
     frac = np.mean(np.array(signs) > 0)
     assert 0.4 < frac < 0.6
@@ -79,6 +78,22 @@ def test_coefficients_redrawn_or_fixed():
     d = gen_replicate(fixed, 1)
     assert np.array_equal(c.beta1_true, d.beta1_true)
     assert not np.array_equal(c.train.X, d.train.X)
+
+
+def test_replicate_seed_keys():
+    # outputs stay byte-identical only while every stream keeps its seed key:
+    # [base_seed, k, 0] for the coefficients, [base_seed, k, 1] for the data,
+    # [base_seed, 2**32] for coefficients shared across replicates
+    scenario = SimulationScenario(p=10, sparsity=0.2, n_train=20, n_test=5, base_seed=11)
+    rep = gen_replicate(scenario, 3)
+    coef = np.random.default_rng([11, 3, 0])
+    assert np.array_equal(rep.beta1_true, gen_sparse_coefficients(10, 0.2, coef))
+    assert np.array_equal(rep.beta2_true, gen_sparse_coefficients(10, 0.2, coef))
+    z = np.random.default_rng([11, 3, 1]).standard_normal((20, 10))
+    assert np.array_equal(rep.train.X, z @ np.linalg.cholesky(gen_ar1_covariance(10)).T)
+    shared = gen_replicate(SimulationScenario(base_seed=11, fix_coefficients=True), 3)
+    coef = np.random.default_rng([11, 2**32])
+    assert np.array_equal(shared.beta1_true, gen_sparse_coefficients(10, 0.2, coef))
 
 
 def test_replicate_population_moments():

@@ -7,6 +7,7 @@ byte-identical output files. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -47,6 +48,19 @@ def _settings(args) -> list:
     if args.all:
         return [(r, p, s) for r in GRID_RHOS for p in GRID_PS for s in GRID_SPARSITIES]
     return [(args.rho, args.p, args.sparsity)]
+
+
+def _float_in(low, high):
+    """argparse type of a float flag that must lie in the open interval (low, high)."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
+        return value
+    return parse
 
 
 def _add_chain_flags(ap):
@@ -261,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate simulation-study datasets")
-    sim.add_argument("--rho", type=float, default=0.85)
+    sim.add_argument("--rho", type=_float_in(-1.0, 1.0), default=0.85)
     sim.add_argument("--p", type=int, default=10)
     sim.add_argument("--sparsity", type=float, default=0.2)
     sim.add_argument("--n-train", type=int, default=100)
     sim.add_argument("--n-test", type=int, default=100)
-    sim.add_argument("--sigma2", type=float, default=2.0)
+    sim.add_argument("--sigma2", type=_float_in(0.0, math.inf), default=2.0)
     sim.add_argument("--replicates", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--all", action="store_true", help="write the full 12-setting grid")
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=cmd_predict)
 
     repl = sub.add_parser("replicate", help="run the end-to-end replication loop")
-    repl.add_argument("--rho", type=float, default=0.85)
+    repl.add_argument("--rho", type=_float_in(-1.0, 1.0), default=0.85)
     repl.add_argument("--p", type=int, default=10)
     repl.add_argument("--sparsity", type=float, default=0.2)
     repl.add_argument("--replicates", type=int, default=10)

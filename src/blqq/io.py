@@ -78,11 +78,17 @@ def parse_dataset_csv(path, require_responses: bool = True):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("orders:"):
+                    orders_line = lineno
                     try:
                         orders_spec = np.array(
                             [int(tok) for tok in body[len("orders:"):].split(",")], dtype=int)
                     except (ValueError, OverflowError):
                         raise DatasetFormatError(f"line {lineno}: malformed #orders: entry")
+                    if (orders_spec < 0).any():
+                        k = int(np.argmax(orders_spec < 0))
+                        raise DatasetFormatError(
+                            f"line {lineno}: #orders: entry {k + 1} is {orders_spec[k]}, "
+                            "but effect orders must be nonnegative")
                 continue
             cells = next(csv.reader([line]))
             if header is None:
@@ -128,8 +134,8 @@ def parse_dataset_csv(path, require_responses: bool = True):
     columns = [header[j] for j in pred_idx]
     if orders_spec is not None:
         if len(orders_spec) != len(pred_idx):
-            raise DatasetFormatError(
-                f"#orders: lists {len(orders_spec)} entries for {len(pred_idx)} predictors")
+            raise DatasetFormatError(f"line {orders_line}: #orders: lists {len(orders_spec)} "
+                                     f"entries for {len(pred_idx)} predictors")
         orders = EffectOrders(orders_spec)
     else:
         orders = EffectOrders(np.ones(len(pred_idx), dtype=int))
@@ -181,7 +187,7 @@ def read_chain_csv(path) -> Draws:
                 continue
             cells = next(csv.reader([line]))
             if header is None:
-                header = cells
+                header = [c.strip() for c in cells]
                 _check_header(header, lineno)
                 idx = _draw_column_index(header)
             elif len(cells) != len(header):

@@ -10,7 +10,15 @@ b_i = [x_i; -(rho/sigma) x_i]. The sweep evaluates the leave-one-out moments
 ever formed, and falls back to inverting the downdated 2p x 2p precision when
 the shortcut's denominator degenerates. The same structure reduces the
 refresh of the right-hand statistic after each u_i to a p-vector
-accumulator. The half-line draw itself is distributions._draw_halfline.
+accumulator, which the sweep advances a block of _BLOCK rows at a time:
+within a block each row reads the accumulator through the block's kernel
+R_B X_B', at O(rows so far in the block) per row instead of O(p). The
+half-line draw itself is distributions._draw_halfline.
+
+The beta full conditional factors its precision first and checks the
+conditioning from an O(p) trace bound on the inverse it has just formed; only
+where that bound does not settle the verdict does it take the eigenvalues of
+the Jacobi-scaled precision.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ from .model import (
 
 _DENOM_FLOOR = 1e-10
 _COND_LIMIT = 1e12
+_BLOCK = 16           # rows per block of the u-sweep
 
 
 class IllConditionedError(RuntimeError):
@@ -124,12 +133,24 @@ def _statistic(ws: SamplerWorkspace, sigma2: float, rho: float) -> np.ndarray:
     return np.concatenate([t1, t2])
 
 
+def _check_conditioning(A: np.ndarray) -> None:
+    """Raise IllConditionedError unless the Jacobi-scaled precision
+    D^-1/2 A D^-1/2 is positive definite with eigenvalue ratio at most
+    _COND_LIMIT. A tiny prior variance (r at its clamp) only scales A badly,
+    and the Cholesky factorization is indifferent to that scaling."""
+    dinv = 1.0 / np.sqrt(np.diag(A))
+    eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
+    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
+        raise IllConditionedError(np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0])
+
+
 def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> FullConditionalBeta:
     """Mean and covariance of beta | u, y, sigma2, rho with prior N(0, diag(v1, v2)).
 
     Built directly from the p x p Gram matrix via the Kronecker structure of
     the error precision; nothing of size n enters the linear algebra. The
-    data enter through the workspace, whose xtu must equal X'u.
+    data enter through the workspace, whose xtu must equal X'u. Raises
+    IllConditionedError where _check_conditioning rejects the precision.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
@@ -150,17 +171,24 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     A[:p, p:] = k12 * ws.gram
     A[p:, :p] = A[:p, p:].T
 
-    # Conditioning of the Jacobi-scaled precision D^-1/2 A D^-1/2: a tiny
-    # prior variance (r at its clamp) only scales A badly, and the Cholesky
-    # factorization is indifferent to that scaling.
-    dinv = 1.0 / np.sqrt(np.diag(A))
-    eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
-        raise IllConditionedError(np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0])
-
-    L = np.linalg.cholesky(A)
-    Linv = sla.solve_triangular(L, np.eye(2 * p), lower=True)
-    sigma_beta = Linv.T @ Linv
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        _check_conditioning(A)
+        raise
+    # The inverse of a nearly singular A may overflow without a warning; the
+    # bound is then not finite and the eigenvalue test below decides.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Linv = sla.solve_triangular(L, np.eye(2 * p), lower=True)
+        sigma_beta = Linv.T @ Linv
+        # The scaled precision A_s and its inverse are SPD with tr(A_s) = 2p,
+        # so cond(A_s) <= tr(A_s) tr(A_s^-1) = 2p sum_i A_ii (A^-1)_ii. Where
+        # that bound is well inside _COND_LIMIT the eigenvalue test must
+        # accept too; the factor 1/2 keeps rounding in the bound and in
+        # eigvalsh from flipping a verdict at the limit.
+        bound = 2 * p * float(np.dot(np.diag(A), np.diag(sigma_beta)))
+    if not bound <= 0.5 * _COND_LIMIT:       # also where bound is nan
+        _check_conditioning(A)
     sigma_beta = 0.5 * (sigma_beta + sigma_beta.T)
 
     t = _statistic(ws, sigma2, rho)
@@ -187,8 +215,12 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
     g = sum_{j<i} delta_j x_j. So b_i' Sigma_beta t = a_i + c R_i g with
     a = X E' Sigma_beta t0 and R = X E' Sigma_beta E, both formed once per
-    sweep; the loop itself runs on Python floats, and the uniforms of the
-    half-line draws come from one batch.
+    sweep. The rows go in blocks of _BLOCK: at a block's start g is g_B,
+    and for its k-th row R_i g = (R_B g_B)_k + sum_{l<k} K_kl delta_l with
+    the block kernel K = R_B X_B', so the loop, which runs on Python floats,
+    does O(k) work per row instead of O(p). Every block's kernel is formed
+    once per sweep, R_B g_B once per block, and g_B += X_B' delta_B closes a
+    block. The uniforms of the half-line draws come from one batch.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -198,39 +230,52 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
 
+    # X and R padded with zero rows to whole blocks of _BLOCK rows
+    n_blocks = -(-n // _BLOCK)
+    Xp = np.zeros((n_blocks * _BLOCK, p))
+    Xp[:n] = X
     S = fc.sigma_beta[:p] - w * fc.sigma_beta[p:]     # E' Sigma_beta
-    R = X @ (S[:, :p] - w * S[:, p:])
+    Rp = Xp @ (S[:, :p] - w * S[:, p:])
+    R = Rp[:n]
     d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
     denom = 1.0 - c * d
     t0 = _statistic(ws, sigma2, rho)
-    a = X @ (S @ t0)
+    ap = Xp @ (S @ t0)
     uni = gen.random(n)
 
-    ul = u.tolist()
-    g = [0.0] * p
-    rows = zip(a.tolist(), d.tolist(), denom.tolist(), R.tolist(), X.tolist(),
-               y.tolist(), (z == 1).tolist(), uni.tolist())
-    for i, (ai, di, dn, ri, xi, yi, nonneg, unif) in enumerate(rows):
-        ui = ul[i]
-        wy = w * yi
-        if dn < _DENOM_FLOOR:
-            ws.loo_fallbacks += 1
-            b = np.concatenate((X[i], -w * X[i]))
-            gv = np.array(g)
-            t = t0 + c * np.concatenate((gv, -w * gv))
-            sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-            mu_mi = sigma_mi @ (t - (c * (ui - wy)) * b)
-            m = wy + float(b @ mu_mi)
-            v = float(b @ sigma_mi @ b) + one_m
-        else:
-            m = wy + (ai + c * sum(map(mul, ri, g)) - c * di * (ui - wy)) / dn
-            v = di / dn + one_m
-        if v < one_m:
-            v = one_m
-        un = _draw_halfline(m, v, nonneg, unif, gen)
-        delta = un - ui
-        ul[i] = un
-        g = [gk + delta * xk for gk, xk in zip(g, xi)]
+    XB = Xp.reshape(n_blocks, _BLOCK, p)
+    RB = Rp.reshape(n_blocks, _BLOCK, p)
+    kernels = (c * np.matmul(RB, XB.transpose(0, 2, 1))).tolist()
+
+    ul = []
+    g = np.zeros(p)
+    rows = zip(u.tolist(), (c * d).tolist(), d.tolist(), denom.tolist(), y.tolist(),
+               (z == 1).tolist(), uni.tolist())
+    for Xb, Rb, ab, kernel in zip(XB, RB, ap.reshape(n_blocks, _BLOCK), kernels):
+        base = (ab + c * (Rb @ g)).tolist()
+        deltas = []
+        # base runs out with the block, before rows is advanced
+        for bk, kk, (ui, cdi, di, dn, yi, nonneg, unif) in zip(base, kernel, rows):
+            wy = w * yi
+            if dn < _DENOM_FLOOR:
+                ws.loo_fallbacks += 1
+                k = len(deltas)
+                gv = g + Xb[:k].T @ np.array(deltas)
+                b = np.concatenate((Xb[k], -w * Xb[k]))
+                t = t0 + c * np.concatenate((gv, -w * gv))
+                sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
+                mu_mi = sigma_mi @ (t - (c * (ui - wy)) * b)
+                m = wy + float(b @ mu_mi)
+                v = float(b @ sigma_mi @ b) + one_m
+            else:
+                m = wy + (bk + sum(map(mul, kk, deltas)) - cdi * (ui - wy)) / dn
+                v = di / dn + one_m
+            if v < one_m:
+                v = one_m
+            un = _draw_halfline(m, v, nonneg, unif, gen)
+            deltas.append(un - ui)
+            ul.append(un)
+        g += np.array(deltas) @ Xb[:len(deltas)]
     u[:] = ul
     ws.xtu += g
     return u

@@ -38,6 +38,10 @@ class SimulationScenario:
         for name in ("p", "replicates", "n_train", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not -1.0 < self.rho_true < 1.0:
+            raise ValueError(f"rho_true must lie in (-1, 1), got {self.rho_true}")
+        if not self.sigma2_true > 0.0:
+            raise ValueError(f"sigma2_true must be > 0, got {self.sigma2_true}")
 
 
 @dataclass

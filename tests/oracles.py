@@ -6,7 +6,8 @@ sweep_loo_moments is the other side of the comparison: it reads the
 leave-one-out moments off the sampler's own sweep. pin_blocks holds sampler
 blocks fixed for the oracles that need part of the posterior conditioned on.
 dense_predict is the all-rows prediction formula the row-blocked
-predict_draws must reproduce.
+predict_draws must reproduce, and scaled_condition the eigenvalue test of the
+beta precision whose verdicts compute_beta_full_conditional must keep.
 """
 import numpy as np
 from scipy import integrate, special, stats
@@ -68,20 +69,25 @@ def dense_loo_moments(X, y, u, sigma2, rho, v1, v2, i):
     return m, v
 
 
-def sweep_loo_moments(state, fc, ws, denom_floor=None):
+def sweep_loo_moments(state, fc, ws, denom_floor=None, move=False):
     """(m_i, v_i) that sample_u_sweep hands to its half-line draw, for every i.
 
-    The draw is replaced by a recorder that returns the current u_i, so u and
-    the statistic never move and every i conditions on the same u as the
-    dense route. denom_floor overrides the sampler's _DENOM_FLOOR (2.0 forces
-    the fallback branch for every i).
+    The draw is replaced by a recorder. By default it returns the current
+    u_i, so u and the statistic never move and every i conditions on the same
+    u as the dense route. With move=True it returns u_i + 0.3 where z_i = 1
+    and u_i - 0.3 where z_i = 0, which keeps every sign, so row i conditions
+    on the moved u_1..u_{i-1} and the sweep's running statistic is exercised.
+    denom_floor overrides the sampler's _DENOM_FLOOR (2.0 forces the
+    fallback branch for every i).
     """
     u0 = state.u.copy()
+    step = 0.3 if move else 0.0
     seen = []
 
     def record(m, v, nonnegative, uni, gen):
         seen.append((m, v))
-        return u0[len(seen) - 1]
+        ui = u0[len(seen) - 1]
+        return ui + step if nonnegative else ui - step
 
     saved = sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR
     sampler_mod._draw_halfline = record
@@ -93,6 +99,25 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None):
         sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR = saved
     m, v = np.array(seen).T
     return m, v
+
+
+def scaled_condition(gram, sigma2, rho, v1, v2):
+    """Eigenvalue ratio of the Jacobi-scaled beta precision, inf where it is
+    not positive definite: the test compute_beta_full_conditional once ran on
+    every precision, with the precision assembled as it assembles it."""
+    p = gram.shape[0]
+    s = np.sqrt(sigma2)
+    one_m = 1.0 - rho * rho
+    A = np.empty((2 * p, 2 * p))
+    A[:p, :p] = (1.0 / one_m) * gram
+    A[:p, :p][np.diag_indices(p)] += 1.0 / v1
+    A[p:, p:] = (1.0 / (one_m * sigma2)) * gram
+    A[p:, p:][np.diag_indices(p)] += 1.0 / v2
+    A[:p, p:] = (-rho / (one_m * s)) * gram
+    A[p:, :p] = A[:p, p:].T
+    dinv = 1.0 / np.sqrt(np.diag(A))
+    eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
+    return np.inf if eigs[0] <= 0 else eigs[-1] / eigs[0]
 
 
 def pin_blocks(monkeypatch, *blocks, beta=None, tau_sq=None, r=None):

@@ -317,7 +317,10 @@ def test_high_effect_order(tmp_path, order, code):
     (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
      "line 1: repeated column 'y'"),
     (["#orders: 1,99999999999999999999", "x1,x2,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0"],
-     "line 1: malformed #orders: entry")], ids=["repeated-column", "oversized-order"])
+     "line 1: malformed #orders: entry"),
+    (["#orders: 1,-1", "x1,x2,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0"],
+     "line 1: #orders: entry 2 is -1, but effect orders must be nonnegative")],
+    ids=["repeated-column", "oversized-order", "negative-order"])
 def test_malformed_header_exit_2(tmp_path, lines, message):
     data = tmp_path / "data.csv"
     data.write_text("\n".join(lines) + "\n")
@@ -342,6 +345,25 @@ def test_count_below_one_exit_2(tmp_path, capsys, argv):
     command, *flags = argv
     assert run([command, "--p", "4", "--sparsity", "0.25", *flags, "--out-dir", out]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--rho", "1.5"], "argument --rho: must lie in (-1, 1), got 1.5"),
+    (["simulate", "--rho", "-1"], "argument --rho: must lie in (-1, 1), got -1"),
+    (["simulate", "--sigma2", "-1"], "argument --sigma2: must lie in (0, inf), got -1"),
+    (["simulate", "--sigma2", "0"], "argument --sigma2: must lie in (0, inf), got 0"),
+    (["replicate", "--rho", "1.5", *FAST], "argument --rho: must lie in (-1, 1), got 1.5")],
+    ids=["simulate-rho-1.5", "simulate-rho-neg1", "simulate-sigma2-neg", "simulate-sigma2-0",
+         "replicate-rho-1.5"])
+def test_out_of_range_flag_exit_2(tmp_path, capsys, argv, message):
+    # rejected with the flag's name before anything is written
+    out = tmp_path / "out"
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--p", "4", "--sparsity", "0.25", *flags, "--out-dir", out])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

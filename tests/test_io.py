@@ -55,7 +55,7 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         bio.parse_dataset_csv(path)
 
     write_lines(path, ["#orders: 1,2", "x1,y,z", "1.0,2.0,1", "0.5,1.0,0"])
-    with pytest.raises(bio.DatasetFormatError, match="orders"):
+    with pytest.raises(bio.DatasetFormatError, match="line 1: #orders: lists 2 entries"):
         bio.parse_dataset_csv(path)
 
 
@@ -115,6 +115,16 @@ def test_read_chain_reorders_columns(tmp_path):
     names = list(reversed(chain.names))
     write_lines(path, [",".join(names)]
                 + [",".join(repr(float(v)) for v in row[::-1]) for row in chain.draws])
+    assert np.array_equal(bio.read_chain_csv(path).draws, chain.draws)
+
+
+def test_read_chain_strips_header_cells(tmp_path):
+    # a header written with ", " separators names the same columns
+    chain = random_draws(np.random.default_rng(6), p=2, n=3)
+    path = tmp_path / "chain.csv"
+    write_lines(path, [", ".join(["iteration"] + chain.names)]
+                + [", ".join([str(i)] + [repr(float(v)) for v in row])
+                   for i, row in enumerate(chain.draws)])
     assert np.array_equal(bio.read_chain_csv(path).draws, chain.draws)
 
 

@@ -1,5 +1,7 @@
 """Full-conditional and leave-one-out formulas against the dense brute-force
 construction that materializes the 2n x 2n error covariance."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,42 @@ def test_ill_conditioned_raises():
     assert exc.value.cond_estimate > 1e12
 
 
+def test_conditioning_verdicts_match_eigenvalue_rule():
+    # near-collinear X, prior variances from tiny to huge, r at its clamp and
+    # rho near +-1: the full conditional is refused exactly where the
+    # eigenvalue test of oracles.scaled_condition exceeds _COND_LIMIT, with
+    # its estimate, and no RuntimeWarning escapes, also where Cholesky fails
+    rng = np.random.default_rng(61)
+    verdicts = {"accepted": 0, "refused": 0, "cholesky failed": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(600):
+            n, p = int(rng.integers(2, 30)), int(rng.integers(1, 7))
+            X = rng.standard_normal((n, p))
+            for j in range(1, p):          # a copy of column 0, exact or perturbed
+                if rng.random() < 0.5:
+                    X[:, j] = X[:, 0] + (rng.random() < 0.5) * 10.0 ** rng.uniform(-12, 0) \
+                        * rng.standard_normal(n)
+            u = rng.standard_normal(n)
+            ws, _ = make_ws(X, rng.standard_normal(n), u, (u >= 0).astype(int))
+            v1 = np.full(p, 1e-13) if rng.random() < 0.2 else 10.0 ** rng.uniform(-14, 20, p)
+            v2 = 10.0 ** rng.uniform(-14, 20, p)
+            sigma2, rho = 10.0 ** rng.uniform(-3, 3), rng.uniform(-0.9999, 0.9999)
+            cond = oracles.scaled_condition(ws.gram, sigma2, rho, v1, v2)
+            if cond <= sampler_mod._COND_LIMIT:
+                compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+                verdicts["accepted"] += 1
+                continue
+            with pytest.raises(IllConditionedError) as exc:
+                compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+            assert exc.value.cond_estimate == cond
+            verdicts["refused"] += 1
+            verdicts["cholesky failed"] += isinstance(exc.value.__context__,
+                                                      np.linalg.LinAlgError)
+    assert verdicts["accepted"] > 300
+    assert verdicts["refused"] > verdicts["cholesky failed"] > 10
+
+
 @pytest.mark.parametrize("seed,n,p", [(10, 10, 2), (11, 25, 4), (12, 6, 1)])
 def test_loo_downdate_matches_dense(seed, n, p):
     # the leave-one-out (m_i, v_i) the sweep draws from, in its closed-form
@@ -82,6 +120,41 @@ def test_loo_downdate_matches_dense(seed, n, p):
         assert np.allclose(moments, dense, rtol=1e-8, atol=1e-10)
         assert ws.loo_fallbacks == fallbacks
         assert np.array_equal(state.u, u)
+
+
+_BLOCK = sampler_mod._BLOCK
+
+
+@pytest.mark.parametrize("seed,n,p,with_fallback", [
+    (14, _BLOCK - 3, 3, False),             # one short block
+    (15, 2 * _BLOCK + 3, 4, False),         # a ragged last block
+    (16, 2 * _BLOCK + 3, 4, True),          # the fallback fires in mid-block
+])
+def test_loo_moments_while_u_moves(seed, n, p, with_fallback):
+    # the recorder moves every u_i, so row i's moments depend on the sweep's
+    # running statistic over u_1..u_{i-1}, within and across blocks
+    X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    floor, fallback_rows = None, []
+    if with_fallback:
+        # a floor between the middle two of the closed form's denominators
+        b = np.hstack([X, -(rho / np.sqrt(sigma2)) * X])
+        denom = 1.0 - np.einsum("ij,jk,ik->i", b, fc.sigma_beta, b) / (1.0 - rho * rho)
+        lower, upper = np.sort(denom)[n // 2 - 1:n // 2 + 1]
+        floor = 0.5 * (lower + upper)
+        fallback_rows = np.flatnonzero(denom < floor)
+        assert any(i % _BLOCK not in (0, _BLOCK - 1) for i in fallback_rows)
+    moments = oracles.sweep_loo_moments(state, fc, ws, denom_floor=floor, move=True)
+    moved = u + np.where(z == 1, 0.3, -0.3)
+    dense = np.array([
+        oracles.dense_loo_moments(X, y, np.concatenate([moved[:i], u[i:]]),
+                                  sigma2, rho, v1, v2, i)
+        for i in range(n)]).T
+    assert np.allclose(moments, dense, rtol=1e-8, atol=1e-10)
+    assert ws.loo_fallbacks == len(fallback_rows)
+    assert np.array_equal(state.u, moved)
+    assert np.allclose(ws.xtu, X.T @ moved, rtol=1e-10, atol=1e-10)
 
 
 def test_sweep_respects_signs_and_statistic():

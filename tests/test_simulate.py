@@ -46,6 +46,14 @@ def test_scenario_validates_sparsity():
         SimulationScenario(p=10, sparsity=0.15)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rho_true", 1.5), ("rho_true", -1.0), ("rho_true", float("nan")),
+    ("sigma2_true", 0.0), ("sigma2_true", -1.0), ("sigma2_true", float("nan"))])
+def test_scenario_validates_rho_and_sigma2(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimulationScenario(p=10, **{field: value})
+
+
 def test_replicate_shapes_and_consistency():
     scenario = SimulationScenario(p=10, sparsity=0.2, n_train=100, n_test=50)
     rep = gen_replicate(scenario, 0)

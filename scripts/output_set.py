@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-r"""Write the fixed-seed output file set of a blqq checkout.
+r"""Write the fixed-seed output file set of a blqq checkout, or compare two.
 
     python3 scripts/output_set.py <checkout> <out_dir>
+    python3 scripts/output_set.py --compare <before_dir> <after_dir>
 
 Runs the CLI of <checkout> (imported from <checkout>/src) through every
 command at fixed seeds:
@@ -16,9 +17,19 @@ command at fixed seeds:
 Run it on two checkouts and compare with `diff -r`: a change that leaves the
 draws alone must leave every file byte-identical. BLAS may round the
 prediction products differently with its thread count, so the commands run
-with OPENBLAS_NUM_THREADS=1, as the benchmark sets it. A change that only
-drops or adds `#` provenance lines is compared with those lines ignored; for
-the MH settings no longer written since the step sizes became a constant:
+with OPENBLAS_NUM_THREADS=1, as the benchmark sets it.
+
+A change that moves the draws at rounding level only is compared with
+--compare. For each file that differs it prints the largest absolute
+difference between numeric cells, the values of `#key: value` lines
+included. It exits 1 when the file sets or a file's line counts differ, or
+when a cell differs that must match exactly: text, an integer (a count or a
+z_hat; floats are always written with a '.' or an exponent), or a float that
+is not finite.
+
+A change that only drops or adds `#` provenance lines is compared with those
+lines ignored; for the MH settings no longer written since the step sizes
+became a constant:
 
     diff -r -I '^#\(mh_step_\(sigma2\|rho\|r\)\|adapt_during_burnin\): ' before after
 
@@ -26,12 +37,70 @@ and for the hyper start values no longer written since they became a constant:
 
     diff -r -I '^#init_\(tau1_sq\|tau2_sq\|r1\|r2\): ' before after
 """
+import math
 import os
 import subprocess
 import sys
 
 
+def _cell_diff(a, b):
+    """|a - b| of two float cells, or None where they differ but must not."""
+    if a == b:
+        return 0.0
+    if any(cell.strip().lstrip("+-").isdigit() for cell in (a, b)):
+        return None
+    try:
+        d = abs(float(a) - float(b))
+    except ValueError:
+        return None
+    return d if math.isfinite(d) else None
+
+
+def _file_diff(before, after):
+    """Largest cell difference of two files, or a message naming what differs."""
+    with open(before) as fb, open(after) as fa:
+        lines_b, lines_a = fb.read().splitlines(), fa.read().splitlines()
+    if len(lines_b) != len(lines_a):
+        return f"{len(lines_b)} lines against {len(lines_a)}"
+    worst = 0.0
+    for k, (lb, la) in enumerate(zip(lines_b, lines_a), start=1):
+        # a "#key: value" line has the cells key and value
+        cells_b, cells_a = (line.split(": ", 1) if line.startswith("#") else line.split(",")
+                            for line in (lb, la))
+        diffs = [_cell_diff(b, a) for b, a in zip(cells_b, cells_a)]
+        if len(cells_b) != len(cells_a) or None in diffs:
+            return f"line {k} differs beyond rounding: {lb!r} against {la!r}"
+        worst = max([worst, *diffs])
+    return worst
+
+
+def compare(before, after):
+    """Print how the file set under after differs from the one under before;
+    return 1 where it differs beyond rounding, else 0."""
+    sets = [{os.path.relpath(os.path.join(d, f), top)
+             for d, _, files in os.walk(top) for f in files} for top in (before, after)]
+    status = 0
+    for rel in sorted(sets[0] ^ sets[1]):
+        print(f"{rel}: only under {before if rel in sets[0] else after}")
+        status = 1
+    common = sorted(sets[0] & sets[1])
+    identical = 0
+    for rel in common:
+        diff = _file_diff(os.path.join(before, rel), os.path.join(after, rel))
+        if isinstance(diff, str):
+            print(f"{rel}: {diff}")
+            status = 1
+        elif diff == 0.0:
+            identical += 1
+        else:
+            print(f"{rel}: largest absolute difference {diff:.2g}")
+    print(f"{identical} of {len(common)} common files identical cell by cell")
+    return status
+
+
 def main():
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(*sys.argv[2:]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     checkout, out = (os.path.abspath(a) for a in sys.argv[1:])

@@ -40,7 +40,10 @@ def _trunc_std_lower(alpha: float, uni: float, gen: np.random.Generator) -> floa
         while uni <= 0.0:
             uni = gen.random()
         return -float(special.ndtri(uni * q))
-    # Robert (1995) shifted-exponential rejection for the far tail.
+    # Robert (1995) shifted-exponential rejection for the far tail, which
+    # would never accept at a truncation point of nan or inf.
+    if not alpha < math.inf:
+        raise FloatingPointError(f"truncation point {alpha} is not finite")
     lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
     while True:
         x = alpha + gen.exponential(1.0 / lam)
@@ -61,27 +64,6 @@ def _draw_halfline(m: float, v: float, nonnegative: bool, uni: float,
     # (measure-zero) exact 0 into the open half-line.
     val = m - sd * _trunc_std_lower(m / sd, uni, gen)
     return val if val < 0.0 else -_TINY
-
-
-def sample_truncated_normal(mean, variance, side, gen: np.random.Generator, size=None):
-    """Draw from N(mean, variance) restricted to a half-line.
-
-    side="nonnegative" keeps [0, inf), side="negative" keeps (-inf, 0).
-    Uses inverse-CDF within 5 sd of the mean and exponential-proposal
-    rejection beyond, so it stays exact deep in the tail. size=k returns k
-    successive draws of the scalar sampler the latent sweep uses, from one
-    batch of k uniforms as in the sweep.
-    """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if side not in ("nonnegative", "negative"):
-        raise ValueError(f"unknown side {side!r}")
-    nonnegative = side == "nonnegative"
-    if size is None:
-        return _draw_halfline(mean, variance, nonnegative, gen.random(), gen)
-    return np.fromiter((_draw_halfline(mean, variance, nonnegative, uni, gen)
-                        for uni in gen.random(size).tolist()),
-                       dtype=float, count=size)
 
 
 def sample_scaled_inv_chi2(dof, scale, gen: np.random.Generator, size=None):

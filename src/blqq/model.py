@@ -89,10 +89,6 @@ class EffectOrders:
         if np.any(self.orders < 0):
             raise ValueError("effect orders must be nonnegative")
 
-    @property
-    def p(self) -> int:
-        return self.orders.shape[0]
-
 
 @dataclass
 class HyperState:
@@ -155,15 +151,6 @@ def joint_log_likelihood(data: Dataset, params: ParameterState) -> float:
     pos = data.z == 1
     ll_z = float(np.sum(std_normal_log_cdf(s[pos]))) + float(np.sum(std_normal_log_cdf(-s[~pos])))
     return ll_y + ll_z
-
-
-def prior_variance_diagonal(orders: EffectOrders, tau_sq: float, r: float) -> np.ndarray:
-    """Diagonal of tau^2 * diag(r^order) as a 1-D vector."""
-    if tau_sq <= 0:
-        raise ValueError("tau_sq must be positive")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    return tau_sq * np.power(float(r), orders.orders.astype(float))
 
 
 SCALAR_NAMES = ("sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2")

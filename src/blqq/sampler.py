@@ -42,7 +42,6 @@ from .model import (
     HyperState,
     ParameterState,
     PriorConfig,
-    prior_variance_diagonal,
 )
 
 _DENOM_FLOOR = 1e-10
@@ -69,7 +68,7 @@ def _prior_variances(orders: EffectOrders, hyper: HyperState):
     beta full conditional forms the precision 1/v from them."""
     out = []
     for block, tau_sq, r in (("beta1", hyper.tau1_sq, hyper.r1), ("beta2", hyper.tau2_sq, hyper.r2)):
-        v = prior_variance_diagonal(orders, tau_sq, r)
+        v = tau_sq * np.power(float(r), orders.orders.astype(float))
         ok = (v >= _TINY) & (v < np.inf)       # False for nan as well
         if not ok.all():
             j = int(np.argmin(ok))
@@ -137,7 +136,11 @@ def _check_conditioning(A: np.ndarray) -> None:
     """Raise IllConditionedError unless the Jacobi-scaled precision
     D^-1/2 A D^-1/2 is positive definite with eigenvalue ratio at most
     _COND_LIMIT. A tiny prior variance (r at its clamp) only scales A badly,
-    and the Cholesky factorization is indifferent to that scaling."""
+    and the Cholesky factorization is indifferent to that scaling. An A that
+    is not finite (an overflowed Gram matrix) is rejected with cond inf before
+    eigvalsh, which returns nan for some such matrices and fails on others."""
+    if not np.isfinite(A).all():
+        raise IllConditionedError(np.inf)
     dinv = 1.0 / np.sqrt(np.diag(A))
     eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
@@ -176,10 +179,11 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     except np.linalg.LinAlgError:
         _check_conditioning(A)
         raise
-    # The inverse of a nearly singular A may overflow without a warning; the
+    # The inverse of a nearly singular A may overflow without a warning, and
+    # the factor of an overflowed A holds nan (hence check_finite=False); the
     # bound is then not finite and the eigenvalue test below decides.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Linv = sla.solve_triangular(L, np.eye(2 * p), lower=True)
+        Linv = sla.solve_triangular(L, np.eye(2 * p), lower=True, check_finite=False)
         sigma_beta = Linv.T @ Linv
         # The scaled precision A_s and its inverse are SPD with tr(A_s) = 2p,
         # so cond(A_s) <= tr(A_s) tr(A_s^-1) = 2p sum_i A_ii (A^-1)_ii. Where
@@ -214,13 +218,16 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     With E = [I; -w I] and w = rho/sigma, b_i = E x_i, and every update of
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
     g = sum_{j<i} delta_j x_j. So b_i' Sigma_beta t = a_i + c R_i g with
-    a = X E' Sigma_beta t0 and R = X E' Sigma_beta E, both formed once per
-    sweep. The rows go in blocks of _BLOCK: at a block's start g is g_B,
-    and for its k-th row R_i g = (R_B g_B)_k + sum_{l<k} K_kl delta_l with
-    the block kernel K = R_B X_B', so the loop, which runs on Python floats,
-    does O(k) work per row instead of O(p). Every block's kernel is formed
-    once per sweep, R_B g_B once per block, and g_B += X_B' delta_B closes a
-    block. The uniforms of the half-line draws come from one batch.
+    a = X E' mu_beta, read off fc's mean Sigma_beta t0, and
+    R = X E' Sigma_beta E, formed once per sweep. So fc must be the full
+    conditional at the u whose X'u ws.xtu holds; ws.xtu keeps that value
+    until the sweep ends, and the fallback rebuilds t0 from it. The rows go
+    in blocks of _BLOCK: at a block's start g is g_B, and for its k-th row
+    R_i g = (R_B g_B)_k + sum_{l<k} K_kl delta_l with the block kernel
+    K = R_B X_B', so the loop, which runs on Python floats, does O(k) work
+    per row instead of O(p). Every block's kernel is formed once per sweep,
+    R_B g_B once per block, and g_B += X_B' delta_B closes a block. The
+    uniforms of the half-line draws come from one batch.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -239,8 +246,7 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     R = Rp[:n]
     d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
     denom = 1.0 - c * d
-    t0 = _statistic(ws, sigma2, rho)
-    ap = Xp @ (S @ t0)
+    ap = Xp @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
     uni = gen.random(n)
 
     XB = Xp.reshape(n_blocks, _BLOCK, p)
@@ -262,7 +268,7 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
                 k = len(deltas)
                 gv = g + Xb[:k].T @ np.array(deltas)
                 b = np.concatenate((Xb[k], -w * Xb[k]))
-                t = t0 + c * np.concatenate((gv, -w * gv))
+                t = _statistic(ws, sigma2, rho) + c * np.concatenate((gv, -w * gv))
                 sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
                 mu_mi = sigma_mi @ (t - (c * (ui - wy)) * b)
                 m = wy + float(b @ mu_mi)
@@ -390,7 +396,8 @@ def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
 def init_state(data: Dataset):
     """Initialization: least squares for beta2/sigma^2, probit MLE for beta1,
     sign-corrected link values for u, sample correlation for rho, and the
-    hypers at _INITIAL_HYPER."""
+    hypers at _INITIAL_HYPER. A start that is not finite (data whose squares
+    overflow) raises RuntimeError, as a numeric failure in a scan does."""
     X, y, z = data.X, data.y, data.z
     n, p = X.shape
 
@@ -412,8 +419,11 @@ def init_state(data: Dataset):
         rho0 = 0.0
     rho0 = min(max(rho0, -0.95), 0.95)
 
-    state = ParameterState(beta1=beta1, beta2=beta2, sigma2=sigma2, rho=rho0, u=u0)
-    return state, HyperState(**_INITIAL_HYPER)
+    start = {"beta1": beta1, "beta2": beta2, "sigma2": sigma2, "rho": rho0, "u": u0}
+    for name, value in start.items():
+        if not np.isfinite(value).all():
+            raise RuntimeError(f"numeric failure at the start: {name} is not finite")
+    return ParameterState(**start), HyperState(**_INITIAL_HYPER)
 
 
 def _fit_probit(X, z, lam=0.0, max_iter=50):

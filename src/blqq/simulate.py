@@ -52,8 +52,6 @@ class GeneratedReplicate:
     beta2_true: np.ndarray
     rho_true: float
     sigma2_true: float
-    u_train: np.ndarray = None
-    u_test: np.ndarray = None
 
 
 def gen_ar1_covariance(p: int) -> np.ndarray:
@@ -101,10 +99,10 @@ def gen_replicate(scenario: SimulationScenario, k: int) -> GeneratedReplicate:
 
     data_gen = np.random.default_rng([seed, k, 1])
     chol_x = np.linalg.cholesky(gen_ar1_covariance(scenario.p))
-    Xtr, ytr, ztr, utr = _draw_split(data_gen, scenario.n_train, scenario.p, chol_x,
-                                     beta1, beta2, scenario.rho_true, scenario.sigma2_true)
-    Xte, yte, zte, ute = _draw_split(data_gen, scenario.n_test, scenario.p, chol_x,
-                                     beta1, beta2, scenario.rho_true, scenario.sigma2_true)
+    Xtr, ytr, ztr, _ = _draw_split(data_gen, scenario.n_train, scenario.p, chol_x,
+                                   beta1, beta2, scenario.rho_true, scenario.sigma2_true)
+    Xte, yte, zte, _ = _draw_split(data_gen, scenario.n_test, scenario.p, chol_x,
+                                   beta1, beta2, scenario.rho_true, scenario.sigma2_true)
     return GeneratedReplicate(
         train=Dataset(Xtr, ytr, ztr),
         test=Dataset(Xte, yte, zte),
@@ -112,8 +110,6 @@ def gen_replicate(scenario: SimulationScenario, k: int) -> GeneratedReplicate:
         beta2_true=beta2,
         rho_true=scenario.rho_true,
         sigma2_true=scenario.sigma2_true,
-        u_train=utr,
-        u_test=ute,
     )
 
 

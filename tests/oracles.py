@@ -8,12 +8,13 @@ blocks fixed for the oracles that need part of the posterior conditioned on.
 dense_predict is the all-rows prediction formula the row-blocked
 predict_draws must reproduce, and scaled_condition the eigenvalue test of the
 beta precision whose verdicts compute_beta_full_conditional must keep.
+halfline_draws takes many draws of the sweep's own half-line sampler.
 """
 import numpy as np
 from scipy import integrate, special, stats
 
 import blqq.sampler as sampler_mod
-from blqq.distributions import inverse_mills
+from blqq.distributions import _draw_halfline, inverse_mills
 from blqq.model import HyperState
 
 
@@ -99,6 +100,13 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None, move=False):
         sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR = saved
     m, v = np.array(seen).T
     return m, v
+
+
+def halfline_draws(mean, var, nonnegative, gen, n):
+    """n draws of N(mean, var) on the half-line, made as the sweep makes them:
+    distributions._draw_halfline on one batch of n uniforms."""
+    return np.array([_draw_halfline(mean, var, nonnegative, uni, gen)
+                     for uni in gen.random(n).tolist()])
 
 
 def scaled_condition(gram, sigma2, rho, v1, v2):

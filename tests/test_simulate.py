@@ -4,6 +4,7 @@ import pytest
 from blqq.simulate import (
     BIRTH_COLUMNS,
     SimulationScenario,
+    _draw_split,
     gen_ar1_covariance,
     gen_birth_records,
     gen_replicate,
@@ -54,6 +55,20 @@ def test_scenario_validates_rho_and_sigma2(field, value):
         SimulationScenario(p=10, **{field: value})
 
 
+def latent_u(scenario, k, rep):
+    """The latent u of replicate k's train and test splits, redrawn from its
+    data stream [base_seed, k, 1]; the redrawn X and y must match rep's."""
+    gen = np.random.default_rng([scenario.base_seed, k, 1])
+    chol_x = np.linalg.cholesky(gen_ar1_covariance(scenario.p))
+    us = []
+    for data in (rep.train, rep.test):
+        X, y, _, u = _draw_split(gen, data.n, scenario.p, chol_x, rep.beta1_true,
+                                 rep.beta2_true, scenario.rho_true, scenario.sigma2_true)
+        assert np.array_equal(X, data.X) and np.array_equal(y, data.y)
+        us.append(u)
+    return us
+
+
 def test_replicate_shapes_and_consistency():
     scenario = SimulationScenario(p=10, sparsity=0.2, n_train=100, n_test=50)
     rep = gen_replicate(scenario, 0)
@@ -61,8 +76,9 @@ def test_replicate_shapes_and_consistency():
     assert rep.test.X.shape == (50, 10)
     assert np.count_nonzero(rep.beta1_true) == 2
     assert np.count_nonzero(rep.beta2_true) == 2
-    assert np.array_equal(rep.train.z, (rep.u_train >= 0).astype(int))
-    assert np.array_equal(rep.test.z, (rep.u_test >= 0).astype(int))
+    u_train, u_test = latent_u(scenario, 0, rep)
+    assert np.array_equal(rep.train.z, (u_train >= 0).astype(int))
+    assert np.array_equal(rep.test.z, (u_test >= 0).astype(int))
 
 
 def test_replicate_bit_identical_regeneration():
@@ -110,7 +126,8 @@ def test_replicate_population_moments():
                                   sigma2_true=2.0, n_train=60_000, n_test=10,
                                   base_seed=7)
     rep = gen_replicate(scenario, 0)
-    eta = rep.u_train - rep.train.X @ rep.beta1_true
+    u_train, _ = latent_u(scenario, 0, rep)
+    eta = u_train - rep.train.X @ rep.beta1_true
     phi = rep.train.y - rep.train.X @ rep.beta2_true
     assert np.corrcoef(eta, phi)[0, 1] == pytest.approx(0.7, abs=0.01)
     assert eta.var() == pytest.approx(1.0, abs=0.02)

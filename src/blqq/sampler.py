@@ -11,9 +11,9 @@ ever formed, and falls back to inverting the downdated 2p x 2p precision when
 the shortcut's denominator degenerates. The same structure reduces the
 refresh of the right-hand statistic after each u_i to a p-vector
 accumulator, which the sweep advances a block of _BLOCK rows at a time:
-within a block each row reads the accumulator through the block's kernel
-R_B X_B', at O(rows so far in the block) per row instead of O(p). The
-half-line draw itself is distributions._draw_halfline.
+within a block each row reads the accumulator through the lower triangle of
+the block's kernel, at O(rows so far in the block) per row instead of O(p).
+The half-line draw itself is distributions._draw_halfline.
 
 The beta full conditional factors its precision first and checks the
 conditioning from an O(p) trace bound on the inverse it has just formed; only
@@ -47,6 +47,7 @@ from .model import (
 _DENOM_FLOOR = 1e-10
 _COND_LIMIT = 1e12
 _BLOCK = 16           # rows per block of the u-sweep
+_BELOW = np.tril_indices(_BLOCK, -1)    # a block kernel's strict lower triangle, by rows
 
 
 class IllConditionedError(RuntimeError):
@@ -221,13 +222,19 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     a = X E' mu_beta, read off fc's mean Sigma_beta t0, and
     R = X E' Sigma_beta E, formed once per sweep. So fc must be the full
     conditional at the u whose X'u ws.xtu holds; ws.xtu keeps that value
-    until the sweep ends, and the fallback rebuilds t0 from it. The rows go
-    in blocks of _BLOCK: at a block's start g is g_B, and for its k-th row
-    R_i g = (R_B g_B)_k + sum_{l<k} K_kl delta_l with the block kernel
-    K = R_B X_B', so the loop, which runs on Python floats, does O(k) work
-    per row instead of O(p). Every block's kernel is formed once per sweep,
-    R_B g_B once per block, and g_B += X_B' delta_B closes a block. The
-    uniforms of the half-line draws come from one batch.
+    until the sweep ends, and the fallback rebuilds t0 from it. With
+    d_i = R_i x_i and q_i = 1/(1 - c d_i) (0 on fallback rows), the closed form
+    is m_i = w y_i + q_i (a_i - c d_i (u_i - w y_i)) + c q_i R_i g and
+    v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2), all but the last term of m_i
+    formed as vectors once per sweep. The rows go in blocks of _BLOCK: with
+    [c q_i R_i, base_i] as row i and [g_B; 1] as the accumulator at a block's
+    start, one product gives every row's base, and the k-th row adds
+    sum_{l<k} K_kl delta_l from the block kernel K = (c q R_B) X_B'. Only the
+    strict lower triangles of the kernels are kept, as one list per sweep
+    read through one iterator, from which row k takes exactly its k entries,
+    so the loop, which runs on Python floats, does O(k) work per row instead
+    of O(p). g_B += X_B' delta_B closes a block. The uniforms of the
+    half-line draws come from one batch.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -237,53 +244,57 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
 
-    # X and R padded with zero rows to whole blocks of _BLOCK rows
-    n_blocks = -(-n // _BLOCK)
-    Xp = np.zeros((n_blocks * _BLOCK, p))
-    Xp[:n] = X
     S = fc.sigma_beta[:p] - w * fc.sigma_beta[p:]     # E' Sigma_beta
-    Rp = Xp @ (S[:, :p] - w * S[:, p:])
-    R = Rp[:n]
+    R = X @ (S[:, :p] - w * S[:, p:])
     d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
     denom = 1.0 - c * d
-    ap = Xp @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
+    q = np.zeros(n)                                   # 1/denom, 0 on fallback rows
+    np.divide(1.0, denom, out=q, where=~(denom < _DENOM_FLOOR))
+    v = np.maximum(d * q + one_m, one_m)
+    wy = w * y
+    a = X @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
     uni = gen.random(n)
 
-    XB = Xp.reshape(n_blocks, _BLOCK, p)
-    RB = Rp.reshape(n_blocks, _BLOCK, p)
-    kernels = (c * np.matmul(RB, XB.transpose(0, 2, 1))).tolist()
+    # [c q_i R_i, base_i] and [x_i, 0], padded with zero rows to whole blocks
+    n_blocks = -(-n // _BLOCK)
+    Rp = np.zeros((n_blocks * _BLOCK, p + 1))
+    Rp[:n, :p] = (c * q)[:, None] * R
+    Rp[:n, p] = wy + q * (a - c * d * (u - wy))
+    Xp = np.zeros((n_blocks * _BLOCK, p + 1))
+    Xp[:n, :p] = X
+    XB = Xp.reshape(n_blocks, _BLOCK, p + 1)
+    RB = Rp.reshape(n_blocks, _BLOCK, p + 1)
+    kern = iter(np.matmul(RB, XB.transpose(0, 2, 1))[:, _BELOW[0], _BELOW[1]].ravel().tolist())
 
     ul = []
-    g = np.zeros(p)
-    rows = zip(u.tolist(), (c * d).tolist(), d.tolist(), denom.tolist(), y.tolist(),
-               (z == 1).tolist(), uni.tolist())
-    for Xb, Rb, ab, kernel in zip(XB, RB, ap.reshape(n_blocks, _BLOCK), kernels):
-        base = (ab + c * (Rb @ g)).tolist()
+    gA = np.zeros(p + 1)                              # [g; 1]
+    gA[p] = 1.0
+    rows = zip(u.tolist(), q.tolist(), v.tolist(), (z == 1).tolist(), uni.tolist())
+    for i0, Xb, Rb in zip(range(0, n, _BLOCK), XB, RB):
         deltas = []
         # base runs out with the block, before rows is advanced
-        for bk, kk, (ui, cdi, di, dn, yi, nonneg, unif) in zip(base, kernel, rows):
-            wy = w * yi
-            if dn < _DENOM_FLOOR:
+        for base, (ui, qi, vi, nonneg, unif) in zip((Rb @ gA).tolist(), rows):
+            # map stops at deltas first, so row k takes its k kernel entries;
+            # fallback rows take theirs too, which keeps kern in step
+            m = base + sum(map(mul, deltas, kern))
+            if qi == 0.0:
                 ws.loo_fallbacks += 1
                 k = len(deltas)
-                gv = g + Xb[:k].T @ np.array(deltas)
-                b = np.concatenate((Xb[k], -w * Xb[k]))
-                t = _statistic(ws, sigma2, rho) + c * np.concatenate((gv, -w * gv))
+                g = gA[:p] + Xb[:k, :p].T @ np.array(deltas)
+                xk = Xb[k, :p]
+                b = np.concatenate((xk, -w * xk))
+                t = _statistic(ws, sigma2, rho) + c * np.concatenate((g, -w * g))
                 sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-                mu_mi = sigma_mi @ (t - (c * (ui - wy)) * b)
-                m = wy + float(b @ mu_mi)
-                v = float(b @ sigma_mi @ b) + one_m
-            else:
-                m = wy + (bk + sum(map(mul, kk, deltas)) - cdi * (ui - wy)) / dn
-                v = di / dn + one_m
-            if v < one_m:
-                v = one_m
-            un = _draw_halfline(m, v, nonneg, unif, gen)
+                wyi = float(wy[i0 + k])
+                mu_mi = sigma_mi @ (t - (c * (ui - wyi)) * b)
+                m = wyi + float(b @ mu_mi)
+                vi = max(float(b @ sigma_mi @ b) + one_m, one_m)
+            un = _draw_halfline(m, vi, nonneg, unif, gen)
             deltas.append(un - ui)
             ul.append(un)
-        g += np.array(deltas) @ Xb[:len(deltas)]
+        gA += np.dot(deltas, Xb[:len(deltas)])
     u[:] = ul
-    ws.xtu += g
+    ws.xtu += gA[:p]
     return u
 
 
@@ -397,26 +408,31 @@ def init_state(data: Dataset):
     """Initialization: least squares for beta2/sigma^2, probit MLE for beta1,
     sign-corrected link values for u, sample correlation for rho, and the
     hypers at _INITIAL_HYPER. A start that is not finite (data whose squares
-    overflow) raises RuntimeError, as a numeric failure in a scan does."""
+    overflow) raises RuntimeError, as a numeric failure in a scan does; the
+    overflow and invalid-value warnings numpy would print on the way, from
+    here, _fit_probit and corrcoef, are silenced, because that error names
+    the failure."""
     X, y, z = data.X, data.y, data.z
     n, p = X.shape
 
-    beta2, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < p:
-        warnings.warn("X'X is singular; using ridge-regularized least squares", RuntimeWarning)
-        beta2 = np.linalg.solve(X.T @ X + 1e-6 * np.eye(p), X.T @ y)
-    resid = y - X @ beta2
-    sigma2 = max(float(resid @ resid) / n, 1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta2, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        if rank < p:
+            warnings.warn("X'X is singular; using ridge-regularized least squares",
+                          RuntimeWarning)
+            beta2 = np.linalg.solve(X.T @ X + 1e-6 * np.eye(p), X.T @ y)
+        resid = y - X @ beta2
+        sigma2 = max(float(resid @ resid) / n, 1e-6)
 
-    beta1 = _fit_probit(X, z)
-    xb = X @ beta1
-    mag = np.maximum(np.abs(xb), 1e-3)
-    u0 = np.where(z == 1, mag, -mag)
+        beta1 = _fit_probit(X, z)
+        xb = X @ beta1
+        mag = np.maximum(np.abs(xb), 1e-3)
+        u0 = np.where(z == 1, mag, -mag)
 
-    if np.std(u0) > 0 and np.std(y) > 0:
-        rho0 = float(np.corrcoef(u0, y)[0, 1])
-    else:
-        rho0 = 0.0
+        if np.std(u0) > 0 and np.std(y) > 0:
+            rho0 = float(np.corrcoef(u0, y)[0, 1])
+        else:
+            rho0 = 0.0
     rho0 = min(max(rho0, -0.95), 0.95)
 
     start = {"beta1": beta1, "beta2": beta2, "sigma2": sigma2, "rho": rho0, "u": u0}
@@ -501,20 +517,25 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     """One Gibbs/MH scan, updating state, hyper and ws in place: the u-sweep
     with beta integrated out, the joint beta draw, MH moves for sigma^2 and
     (joint chains only) rho, conjugate tau^2 draws, and MH moves for r1/r2.
-    Adds each block's wall time to timings; returns {target: accepted} for
-    every MH move made."""
+    Adds each block's wall time to timings: beta_fc holds the full
+    conditional, the X'u drift check and the refresh of its mean, and u_sweep
+    sample_u_sweep alone. Returns {target: accepted} for every MH move made."""
     v1, v2 = _prior_variances(orders, hyper)
 
     tic = time.perf_counter()
     fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
+    sweep_tic = time.perf_counter()
     sample_u_sweep(state, fc, ws, rngs["u"])
+    sweep_toc = time.perf_counter()
     xtu_ref = ws.X.T @ state.u
     err = np.linalg.norm(ws.xtu - xtu_ref)
     if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
         raise RuntimeError("incremental X'u statistic drifted")
     ws.xtu = xtu_ref
     fc.mu_beta = fc.sigma_beta @ _statistic(ws, state.sigma2, state.rho)
-    timings["u_sweep"] += time.perf_counter() - tic
+    toc = time.perf_counter()
+    timings["u_sweep"] += sweep_toc - sweep_tic
+    timings["beta_fc"] += (sweep_tic - tic) + (toc - sweep_toc)
 
     tic = time.perf_counter()
     state.beta1, state.beta2 = sample_beta(fc, rngs["beta"])
@@ -559,7 +580,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     counts = {t: (0, 0) for t in _MH_TARGETS}
     n_store = (cfg.iterations - cfg.burn_in) // cfg.thin
     draws = np.empty((n_store, 2 * data.p + len(SCALAR_NAMES)))
-    timings = {"u_sweep": 0.0, "beta": 0.0, "sigma2_rho": 0.0, "hyper": 0.0}
+    timings = {"beta_fc": 0.0, "u_sweep": 0.0, "beta": 0.0, "sigma2_rho": 0.0, "hyper": 0.0}
 
     s_idx = 0
     for j in range(1, cfg.iterations + 1):

@@ -3,10 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import oracles
 from blqq.distributions import (
+    _TAIL_SWITCH,
+    _draw_halfline,
     _trunc_std_lower,
     inverse_mills,
     sample_scaled_inv_chi2,
@@ -94,7 +96,46 @@ class _BoundedGenerator:
 def test_trunc_std_lower_rejects_non_finite_truncation(alpha):
     gen = _BoundedGenerator(np.random.default_rng(3))
     with pytest.raises(FloatingPointError, match="not finite"):
-        _trunc_std_lower(alpha, 0.5, gen)
+        _trunc_std_lower(alpha, gen)
+    # a nan mean reaches the tail helper through the half-line draw
+    with pytest.raises(FloatingPointError, match="not finite"):
+        _draw_halfline(math.nan, 1.0, alpha > 0, 0.5, gen)
+
+
+# uniforms from the smallest gen.random() can return to the largest
+_UNIS = [2.0 ** -53, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12, 1 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("sd", [0.01, 1.0, 3.0])
+def test_halfline_draw_matches_scipy_inverse_cdf(sd):
+    # the inverse-CDF branch against the same formula on scipy's ndtr/ndtri,
+    # for alpha over [-40, 5); the error is measured against |m| + sd|x|,
+    # because the sum m + sd x cancels where x nears alpha (uni near 1)
+    gen = np.random.default_rng(4)
+    worst = 0.0
+    for alpha in np.linspace(-40.0, _TAIL_SWITCH, 226)[:-1].tolist():
+        x_ref = -special.ndtri(np.array(_UNIS) * special.ndtr(-alpha))
+        for sign, nonnegative in ((1.0, True), (-1.0, False)):
+            m = -sign * alpha * sd
+            for uni, x in zip(_UNIS, x_ref.tolist()):
+                draw = _draw_halfline(m, sd * sd, nonnegative, uni, gen)
+                worst = max(worst, abs(draw - (m + sign * sd * x)) / (abs(m) + sd * abs(x)))
+    assert worst <= 1e-12
+
+
+def test_halfline_draw_stays_on_its_side():
+    # uniforms within ulps of 1 put x within ulps of alpha, where m + sd x can
+    # round past 0; every draw must still land on its half-line
+    rng = np.random.default_rng(5)
+    gen = np.random.default_rng(6)
+    unis = [1 - 2.0 ** -53, 1 - 2.0 ** -52, 1 - 1e-12, 0.999999]
+    outside = 0
+    for m in rng.uniform(-30.0, 30.0, 2000).tolist():
+        for v in (1e-4, 0.3, 1.0, 7.0):
+            for uni in unis:
+                outside += _draw_halfline(m, v, True, uni, gen) < 0.0
+                outside += _draw_halfline(m, v, False, uni, gen) >= 0.0
+    assert outside == 0
 
 
 def test_scaled_inv_chi2_mean():

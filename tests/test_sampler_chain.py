@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+import blqq.sampler as sampler_mod
 from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
 from blqq.sampler import _INITIAL_STEP, SamplerWorkspace, _iterate, init_state, run_chain
 from blqq.simulate import SimulationScenario, gen_replicate
@@ -73,7 +76,24 @@ def test_chain_shapes_and_bookkeeping():
     assert np.all(np.abs(out.rho) < 1)
     assert np.all((out.final_u >= 0) == (data.z == 1))
     assert out.loo_fallbacks == 0
-    assert set(out.timings) == {"u_sweep", "beta", "sigma2_rho", "hyper"}
+    assert set(out.timings) == {"beta_fc", "u_sweep", "beta", "sigma2_rho", "hyper"}
+
+
+def test_timing_buckets_keep_the_full_conditional_out_of_the_sweep(monkeypatch):
+    # a full conditional slowed by 20 ms per call shows in beta_fc only;
+    # u_sweep times sample_u_sweep alone
+    data = small_data(seed=3)
+    orders, prior = default_setup(data)
+    slow, real = 0.02, sampler_mod.compute_beta_full_conditional
+
+    def slow_full_conditional(*args):
+        time.sleep(slow)
+        return real(*args)
+
+    monkeypatch.setattr(sampler_mod, "compute_beta_full_conditional", slow_full_conditional)
+    out = run_chain(data, orders, prior, ChainConfig(iterations=5, burn_in=0, seed=1))
+    assert out.timings["beta_fc"] >= 5 * slow
+    assert out.timings["u_sweep"] < slow
 
 
 def test_chain_deterministic_under_seed():
@@ -100,7 +120,7 @@ def test_iterate_by_hand_reproduces_run_chain():
     rngs = {name: np.random.default_rng([cfg.seed, k]) for k, name in enumerate(
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
     steps = dict.fromkeys(("sigma2", "rho", "r1", "r2"), _INITIAL_STEP)
-    timings = dict.fromkeys(("u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)
+    timings = dict.fromkeys(("beta_fc", "u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)
     rows = []
     for _ in range(cfg.iterations):
         _iterate(state, hyper, ws, orders, prior, steps, rngs, True, timings)

@@ -139,12 +139,45 @@ def test_loo_moments_while_u_moves(seed, n, p, with_fallback):
     floor, fallback_rows = None, []
     if with_fallback:
         # a floor between the middle two of the closed form's denominators
-        b = np.hstack([X, -(rho / np.sqrt(sigma2)) * X])
-        denom = 1.0 - np.einsum("ij,jk,ik->i", b, fc.sigma_beta, b) / (1.0 - rho * rho)
+        denom = _denominators(X, fc, sigma2, rho)
         lower, upper = np.sort(denom)[n // 2 - 1:n // 2 + 1]
         floor = 0.5 * (lower + upper)
         fallback_rows = np.flatnonzero(denom < floor)
         assert any(i % _BLOCK not in (0, _BLOCK - 1) for i in fallback_rows)
+    _check_moving_sweep(X, y, u, z, sigma2, rho, v1, v2, ws, state, fc, floor,
+                        len(fallback_rows))
+
+
+@pytest.mark.parametrize("seed", [17, 18, 19])
+def test_loo_moments_mixed_fallback_rows(seed):
+    # a floor drawn between the smallest and largest denominator sends a
+    # random mix of rows to the fallback; each row, whichever branch it takes,
+    # reads its own entries of the block kernel, so the closed-form rows after
+    # a fallback row in its block must still match the dense route
+    n, p = 3 * _BLOCK + 5, 5
+    X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    denom = _denominators(X, fc, sigma2, rho)
+    floor = np.random.default_rng(seed).uniform(denom.min(), denom.max())
+    fallback = denom < floor
+    # some block holds a fallback row followed by a closed-form row
+    assert any(fallback[i] and not fallback[i + 1]
+               for i in range(n - 1) if i % _BLOCK != _BLOCK - 1)
+    _check_moving_sweep(X, y, u, z, sigma2, rho, v1, v2, ws, state, fc, floor,
+                        int(fallback.sum()))
+
+
+def _denominators(X, fc, sigma2, rho):
+    """1 - c b_i' Sigma_beta b_i, the closed form's denominator for every row."""
+    b = np.hstack([X, -(rho / np.sqrt(sigma2)) * X])
+    return 1.0 - np.einsum("ij,jk,ik->i", b, fc.sigma_beta, b) / (1.0 - rho * rho)
+
+
+def _check_moving_sweep(X, y, u, z, sigma2, rho, v1, v2, ws, state, fc, floor, fallbacks):
+    """Run the recorder sweep with every u_i moved and compare each row's
+    moments with the dense route conditioned on the moved u_1..u_{i-1}."""
+    n = X.shape[0]
     moments = oracles.sweep_loo_moments(state, fc, ws, denom_floor=floor, move=True)
     moved = u + np.where(z == 1, 0.3, -0.3)
     dense = np.array([
@@ -152,7 +185,7 @@ def test_loo_moments_while_u_moves(seed, n, p, with_fallback):
                                   sigma2, rho, v1, v2, i)
         for i in range(n)]).T
     assert np.allclose(moments, dense, rtol=1e-8, atol=1e-10)
-    assert ws.loo_fallbacks == len(fallback_rows)
+    assert ws.loo_fallbacks == fallbacks
     assert np.array_equal(state.u, moved)
     assert np.allclose(ws.xtu, X.T @ moved, rtol=1e-10, atol=1e-10)
 

@@ -12,7 +12,9 @@ command at fixed seeds:
 - predict on the test file and summarize, for each fit;
 - predict with the blqq fit on 2000 test rows from a second simulate, so that
   rows x stored draws (2000 x 500) spans several of predict_draws' row blocks;
-- replicate at p=30 with 2 replicates, 600 iterations.
+- replicate at p=30 with 2 replicates, 600 iterations;
+- scripts/run_case_study.py with one split, 300 iterations, writing its
+  chain and splits.csv.
 
 Run it on two checkouts and compare with `diff -r`: a change that leaves the
 draws alone must leave every file byte-identical. BLAS may round the
@@ -36,6 +38,10 @@ became a constant:
 and for the hyper start values no longer written since they became a constant:
 
     diff -r -I '^#init_\(tau1_sq\|tau2_sq\|r1\|r2\): ' before after
+
+and for the duplicate `#rho_true` line no longer written to the truth files:
+
+    diff -r -I '^#rho_true: ' before after
 """
 import math
 import os
@@ -109,10 +115,13 @@ def main():
         sys.exit(f"no blqq sources under {src}")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
-    def blqq(*args):
-        cmd = [sys.executable, "-m", "blqq.cli", *map(str, args)]
+    def run(*cmd):
+        cmd = [sys.executable, *map(str, cmd)]
         if subprocess.run(cmd, env=env).returncode != 0:
-            sys.exit(f"failed: blqq {' '.join(map(str, args))}")
+            sys.exit(f"failed: {' '.join(cmd[1:])}")
+
+    def blqq(*args):
+        run("-m", "blqq.cli", *args)
 
     chain = ["--iterations", 600, "--burn-in", 100, "--seed", 0]
     sims = os.path.join(out, "sims")
@@ -136,6 +145,8 @@ def main():
          "--out", os.path.join(out, "predict_blqq_wide.csv"))
     blqq("replicate", "--p", 30, "--replicates", 2, *chain,
          "--out-dir", os.path.join(out, "replicate"))
+    run(os.path.join(checkout, "scripts", "run_case_study.py"), "--splits", 1,
+        "--iterations", 300, "--burn-in", 100, "--out-dir", os.path.join(out, "case_study"))
     n_files = sum(len(files) for _, _, files in os.walk(out))
     print(f"{n_files} files under {out}")
 

@@ -40,7 +40,7 @@ def main():
     orders = EffectOrders(np.ones(full.p, dtype=int))
     prior = PriorConfig()
 
-    lines = ["split,rho_hat,rho_q2.5,rho_q97.5,rmse_grams,me"]
+    rows = []
     for split in range(args.splits):
         perm = np.random.default_rng(args.seed * 1000 + split).permutation(args.n)
         tr, te = perm[:args.n_train], perm[args.n_train:]
@@ -59,15 +59,15 @@ def main():
 
         y_hat, _, z_hat = predict_draws(chain, Xte, y=yte, z=full.z[te])
         lo, hi = np.quantile(chain.rho, [0.025, 0.975])
-        row = [str(split), repr(float(chain.rho.mean())), repr(float(lo)), repr(float(hi)),
-               repr(float(rmse(yte, y_hat) * ysd)),
-               repr(misclassification(full.z[te], z_hat))]
-        lines.append(",".join(row))
+        rows.append([str(split), repr(float(chain.rho.mean())), repr(float(lo)), repr(float(hi)),
+                     repr(float(rmse(yte, y_hat) * ysd)),
+                     repr(misclassification(full.z[te], z_hat))])
         print(f"split {split}: rho_hat {chain.rho.mean():+.3f}  "
               f"RMSE {rmse(yte, y_hat) * ysd:.0f} g  ME {misclassification(full.z[te], z_hat):.3f}")
 
-    with open(os.path.join(args.out_dir, "splits.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join([f"#seed: {args.seed}", f"#rho_target: {args.rho}"] + lines) + "\n")
+    bio._write_table(os.path.join(args.out_dir, "splits.csv"),
+                     ["split", "rho_hat", "rho_q2.5", "rho_q97.5", "rmse_grams", "me"], rows,
+                     meta={"seed": args.seed, "rho_target": args.rho})
     return 0
 
 

@@ -112,9 +112,10 @@ def _write_fit_outputs(out_dir, chain, meta, max_acf_lag=50):
     acf_table = {}
     ess = {}
     for name, col in zip(chain.names, chain.draws.T):
+        lo, hi = col.min(), col.max()   # a constant column has lo == hi; std could overflow
         if chain.n_stored >= 100:
-            ess[name] = 1.0 if np.std(col) == 0.0 else effective_sample_size(col)
-        if name in ("sigma2", "rho") and np.std(col) > 0:
+            ess[name] = 1.0 if lo == hi else effective_sample_size(col)
+        if name in ("sigma2", "rho") and lo < hi:
             acf_table[name] = acf(col, lag)
     bio.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"),
                               chain.acceptance, chain.steps, chain.loo_fallbacks,
@@ -205,7 +206,8 @@ def run_setting(rho, p, s, replicates, args):
                 report = evaluate_fit(chain, rep.test, rep.beta1_true, rep.beta2_true)
                 rows.append((k, method, report, "ok"))
             except (RuntimeError, np.linalg.LinAlgError) as exc:
-                rows.append((k, method, None, f"failed: {exc}"))
+                # a status is one CSV cell, and cells are never quoted
+                rows.append((k, method, None, f"failed: {exc}".replace(",", ";")))
     return rows
 
 
@@ -228,36 +230,32 @@ def _aggregate(rows):
 
 
 def cmd_replicate(args) -> int:
-    raw_lines = ["setting,replicate,method,status," + ",".join(LOSS_FIELDS + ("fp", "fn"))]
-    agg_lines = ["setting,method,measure,mean,se,n_ok"]
+    raw_header = ["setting", "replicate", "method", "status", *LOSS_FIELDS, "fp", "fn"]
+    raw_rows, agg_rows = [], []
     for rho, p, s in _settings(args):
         name = _setting_name(rho, p, s)
         rows = run_setting(rho, p, s, args.replicates, args)
         for k, method, report, status in rows:
+            cells = [name, str(k), method, status]
             if report is None:
-                raw_lines.append(f"{name},{k},{method},{status},,,,,,,,")
+                cells += [""] * (len(raw_header) - len(cells))
             else:
-                vals = [repr(float(getattr(report, f))) for f in LOSS_FIELDS]
-                raw_lines.append(
-                    f"{name},{k},{method},{status}," + ",".join(vals)
-                    + f",{report.fp},{report.fn}")
-        table = _aggregate(rows)
-        for method, stats in table.items():
+                cells += [repr(float(getattr(report, f))) for f in LOSS_FIELDS]
+                cells += [str(report.fp), str(report.fn)]
+            raw_rows.append(cells)
+        for method, stats in _aggregate(rows).items():
             for measure, (mean, se, n_ok) in stats.items():
                 if n_ok < args.replicates:
-                    measure_flag = measure + " (incomplete)"
-                else:
-                    measure_flag = measure
-                agg_lines.append(
-                    f"{name},{method},{measure_flag},{repr(mean)},{repr(se)},{n_ok}")
+                    measure += " (incomplete)"
+                agg_rows.append([name, method, measure, repr(mean), repr(se), str(n_ok)])
 
-    meta = [f"#seed: {args.seed}", f"#iterations: {args.iterations}",
-            f"#burn_in: {args.burn_in}", f"#replicates: {args.replicates}"]
+    meta = {"seed": args.seed, "iterations": args.iterations, "burn_in": args.burn_in,
+            "replicates": args.replicates}
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "losses_raw.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(meta + raw_lines) + "\n")
-    with open(os.path.join(args.out_dir, "losses_summary.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(meta + agg_lines) + "\n")
+    bio._write_table(os.path.join(args.out_dir, "losses_raw.csv"), raw_header, raw_rows,
+                     meta=meta)
+    bio._write_table(os.path.join(args.out_dir, "losses_summary.csv"),
+                     ["setting", "method", "measure", "mean", "se", "n_ok"], agg_rows, meta=meta)
     return 0
 
 

@@ -1,8 +1,11 @@
 """CSV file formats: datasets, chains, summaries, diagnostics, predictions.
 
-All files are comma-separated with LF line endings and '.' decimals, carry
-their provenance (seed and configuration) in leading '#'-prefixed lines, and
-use shortest round-trip float formatting so parse(write(x)) == x exactly.
+One reader, _read_table, and one writer, _write_table, decide the format of
+every file blqq reads or writes: comma-separated cells, never quoted, with
+LF line endings and '.' decimals; provenance (seed and configuration) in
+leading '#key: value' lines; shortest round-trip float formatting, so
+parse(write(x)) == x exactly. Both are private, so that each file is read
+or written by exactly one public read_/parse_/write_ call.
 """
 from __future__ import annotations
 
@@ -20,15 +23,6 @@ class DatasetFormatError(ValueError):
 
 def _fmt(v) -> str:
     return repr(float(v))
-
-
-def _write_lines(path, lines):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _meta_lines(meta) -> list:
-    return [f"#{k}: {v}" for k, v in (meta or {}).items()]
 
 
 def config_meta(cfg: ChainConfig, extra=None) -> dict:
@@ -50,10 +44,58 @@ def _cell_float(cell, lineno, column) -> float:
             f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
 
 
-def _check_header(header, lineno):
-    for k, name in enumerate(header):
-        if name in header[:k]:
-            raise DatasetFormatError(f"line {lineno}: repeated column {name!r}")
+def _read_table(path, what, on_comment=None):
+    """(header, rows) of a CSV file, where rows iterates over the (line number,
+    cells) of each data row as the file is read, so that a caller converting
+    cells as they come never holds a large file's text in memory.
+
+    Blank lines are skipped and the body of each '#' line goes to
+    on_comment(body, lineno). The first other line is the header: its cells
+    are stripped and may not repeat. Every later line must have as many
+    cells as the header. A file without a header row raises when read here.
+    """
+    rows = _table_lines(path, what, on_comment)
+    return next(rows), rows
+
+
+def _table_lines(path, what, on_comment):
+    """_read_table's line loop: yields the header, then (lineno, cells) per row."""
+    header = None
+    with open(path, "r", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                if on_comment is not None:
+                    on_comment(line[1:].strip(), lineno)
+                continue
+            cells = next(csv.reader([line]))
+            if header is None:
+                header = [c.strip() for c in cells]
+                for k, name in enumerate(header):
+                    if name in header[:k]:
+                        raise DatasetFormatError(f"line {lineno}: repeated column {name!r}")
+                yield header
+            elif len(cells) != len(header):
+                raise DatasetFormatError(
+                    f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
+            else:
+                yield lineno, cells
+    if header is None:
+        raise DatasetFormatError(f"{what} has no header row")
+
+
+def _write_table(path, header, rows, meta=None, trailer=None):
+    """Write a CSV file: a '#key: value' line per meta entry, the header, one
+    line per row of already formatted cells, and a '#key: value' line per
+    trailer entry. Cells are joined as they are, never quoted."""
+    lines = [f"#{k}: {v}" for k, v in (meta or {}).items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(cells) for cells in rows)
+    lines.extend(f"#{k}: {v}" for k, v in (trailer or {}).items())
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # --- dataset ---------------------------------------------------------------
@@ -67,38 +109,22 @@ def parse_dataset_csv(path, require_responses: bool = True):
     With require_responses=False either response column may be absent; the
     Dataset then holds None for it.
     """
-    orders_spec = None
-    header = None
-    rows = []
-    with open(path, "r", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("orders:"):
-                    orders_line = lineno
-                    try:
-                        orders_spec = np.array(
-                            [int(tok) for tok in body[len("orders:"):].split(",")], dtype=int)
-                    except (ValueError, OverflowError):
-                        raise DatasetFormatError(f"line {lineno}: malformed #orders: entry")
-                    if (orders_spec < 0).any():
-                        k = int(np.argmax(orders_spec < 0))
-                        raise DatasetFormatError(
-                            f"line {lineno}: #orders: entry {k + 1} is {orders_spec[k]}, "
-                            "but effect orders must be nonnegative")
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                _check_header(header, lineno)
-            else:
-                rows.append((lineno, cells))
+    orders = {}                 # "spec", "line" of the #orders: comment
 
-    if header is None:
-        raise DatasetFormatError("file has no header row")
+    def on_comment(body, lineno):
+        if not body.startswith("orders:"):
+            return
+        try:
+            spec = np.array([int(tok) for tok in body[len("orders:"):].split(",")], dtype=int)
+        except (ValueError, OverflowError):
+            raise DatasetFormatError(f"line {lineno}: malformed #orders: entry")
+        if (spec < 0).any():
+            k = int(np.argmax(spec < 0))
+            raise DatasetFormatError(f"line {lineno}: #orders: entry {k + 1} is {spec[k]}, "
+                                     "but effect orders must be nonnegative")
+        orders.update(spec=spec, line=lineno)
+
+    header, rows = _read_table(path, "file", on_comment)
     has_y = "y" in header
     has_z = "z" in header
     if require_responses and not has_y:
@@ -112,56 +138,44 @@ def parse_dataset_csv(path, require_responses: bool = True):
     if not pred_idx:
         raise DatasetFormatError("no predictor columns found")
 
-    n = len(rows)
-    X = np.empty((n, len(pred_idx)))
-    y = np.empty(n) if has_y else None
-    z = np.empty(n, dtype=int) if has_z else None
-    for r, (lineno, cells) in enumerate(rows):
-        if len(cells) != len(header):
-            raise DatasetFormatError(
-                f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
-        for k, j in enumerate(pred_idx):
-            X[r, k] = _cell_float(cells[j], lineno, header[j])
+    X, y, z = [], [], []
+    for lineno, cells in rows:
+        X.append([_cell_float(cells[j], lineno, header[j]) for j in pred_idx])
         if has_y:
-            y[r] = _cell_float(cells[y_idx], lineno, "y")
+            y.append(_cell_float(cells[y_idx], lineno, "y"))
         if has_z:
             val = cells[z_idx].strip()
             if val not in ("0", "1"):
                 raise DatasetFormatError(
                     f"line {lineno}: column 'z' must be 0 or 1, found {val!r}")
-            z[r] = int(val)
+            z.append(int(val))
 
     columns = [header[j] for j in pred_idx]
-    if orders_spec is not None:
-        if len(orders_spec) != len(pred_idx):
-            raise DatasetFormatError(f"line {orders_line}: #orders: lists {len(orders_spec)} "
-                                     f"entries for {len(pred_idx)} predictors")
-        orders = EffectOrders(orders_spec)
-    else:
-        orders = EffectOrders(np.ones(len(pred_idx), dtype=int))
-
-    return Dataset(X, y, z, columns=columns), orders
+    spec = orders.get("spec", np.ones(len(pred_idx), dtype=int))
+    if len(spec) != len(pred_idx):
+        raise DatasetFormatError(f"line {orders['line']}: #orders: lists {len(spec)} "
+                                 f"entries for {len(pred_idx)} predictors")
+    X = np.array(X, dtype=float).reshape(len(X), len(pred_idx))
+    y = np.array(y, dtype=float) if has_y else None
+    z = np.array(z, dtype=int) if has_z else None
+    return Dataset(X, y, z, columns=columns), EffectOrders(spec)
 
 
 def write_dataset_csv(path, data: Dataset, orders: EffectOrders = None, meta=None):
-    lines = _meta_lines(meta)
+    meta = dict(meta or {})
     if orders is not None:
-        lines.append("#orders: " + ",".join(str(int(o)) for o in orders.orders))
-    lines.append(",".join(list(data.columns) + ["y", "z"]))
-    for i in range(data.n):
-        cells = [_fmt(v) for v in data.X[i]] + [_fmt(data.y[i]), str(int(data.z[i]))]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+        meta["orders"] = ",".join(str(int(o)) for o in orders.orders)
+    _write_table(path, list(data.columns) + ["y", "z"],
+                 ([_fmt(v) for v in data.X[i]] + [_fmt(data.y[i]), str(int(data.z[i]))]
+                  for i in range(data.n)), meta=meta)
 
 
 # --- chain -----------------------------------------------------------------
 
 def write_chain_csv(path, chain: Draws, meta=None):
-    lines = _meta_lines(meta)
-    lines.append(",".join(["iteration"] + chain.names))
-    for i, row in enumerate(chain.draws):
-        lines.append(",".join([str(i)] + [_fmt(v) for v in row]))
-    _write_lines(path, lines)
+    _write_table(path, ["iteration"] + chain.names,
+                 ([str(i)] + [_fmt(v) for v in row] for i, row in enumerate(chain.draws)),
+                 meta=meta)
 
 
 def _draw_column_index(header) -> list:
@@ -178,32 +192,18 @@ def _draw_column_index(header) -> list:
 
 def read_chain_csv(path) -> Draws:
     """Read a chain file; columns other than the draw columns are ignored."""
-    header = None
-    rows = []
-    with open(path, "r", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                _check_header(header, lineno)
-                idx = _draw_column_index(header)
-            elif len(cells) != len(header):
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
-            else:
-                try:
-                    rows.append([float(cells[k]) for k in idx])
-                except ValueError:
-                    for k in idx:       # raises, naming the first bad cell
-                        _cell_float(cells[k], lineno, header[k])
-    if header is None:
-        raise DatasetFormatError("chain file has no header row")
-    if not rows:
+    header, rows = _read_table(path, "chain file")
+    idx = _draw_column_index(header)
+    draws = []
+    for lineno, cells in rows:
+        try:
+            draws.append([float(cells[k]) for k in idx])
+        except ValueError:
+            for k in idx:       # raises, naming the first bad cell
+                _cell_float(cells[k], lineno, header[k])
+    if not draws:
         raise DatasetFormatError("chain file has no draws")
-    draws = Draws(np.array(rows))
+    draws = Draws(np.array(draws))
     _check_support(draws)
     return draws
 
@@ -231,68 +231,50 @@ def _check_support(chain: Draws):
 # --- summaries, diagnostics, histograms ------------------------------------
 
 def write_summary_csv(path, summary: PosteriorSummary, meta=None):
-    lines = _meta_lines(meta)
-    lines.append("parameter,mean,sd,q2.5,q97.5")
-    for k, name in enumerate(summary.names):
-        lines.append(",".join([name, _fmt(summary.mean[k]), _fmt(summary.sd[k]),
-                               _fmt(summary.q025[k]), _fmt(summary.q975[k])]))
-    _write_lines(path, lines)
+    _write_table(path, ["parameter", "mean", "sd", "q2.5", "q97.5"],
+                 ([name, _fmt(summary.mean[k]), _fmt(summary.sd[k]), _fmt(summary.q025[k]),
+                   _fmt(summary.q975[k])] for k, name in enumerate(summary.names)),
+                 meta=meta)
 
 
 def write_diagnostics_csv(path, acceptance, steps, loo_fallbacks, ess, acf_table, meta=None):
     """acceptance: {target: rate}; steps: {target: final MH step size};
     loo_fallbacks: count of leave-one-out fallback evaluations; ess:
     {param: value}; acf_table: {param: array of autocorrelations by lag}."""
-    lines = _meta_lines(meta)
-    lines.append("record,name,lag,value")
-    for target, rate in acceptance.items():
-        lines.append(f"acceptance,{target},,{_fmt(rate) if rate == rate else 'nan'}")
-    for target, step in steps.items():
-        lines.append(f"mh_step,{target},,{_fmt(step)}")
-    lines.append(f"loo_fallbacks,u,,{int(loo_fallbacks)}")
-    for name, value in ess.items():
-        lines.append(f"ess,{name},,{_fmt(value)}")
-    for name, values in acf_table.items():
-        for lag, value in enumerate(values):
-            lines.append(f"acf,{name},{lag},{_fmt(value)}")
-    _write_lines(path, lines)
+    rows = [["acceptance", target, "", _fmt(rate) if rate == rate else "nan"]
+            for target, rate in acceptance.items()]
+    rows += [["mh_step", target, "", _fmt(step)] for target, step in steps.items()]
+    rows.append(["loo_fallbacks", "u", "", str(int(loo_fallbacks))])
+    rows += [["ess", name, "", _fmt(value)] for name, value in ess.items()]
+    rows += [["acf", name, str(lag), _fmt(value)]
+             for name, values in acf_table.items() for lag, value in enumerate(values)]
+    _write_table(path, ["record", "name", "lag", "value"], rows, meta=meta)
 
 
 def write_histogram_csv(path, draws, bins: int = 30, meta=None):
     counts, edges = np.histogram(np.asarray(draws, dtype=float), bins=bins)
-    lines = _meta_lines(meta)
-    lines.append("bin_left,bin_right,count")
-    for k in range(counts.shape[0]):
-        lines.append(f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}")
-    _write_lines(path, lines)
+    _write_table(path, ["bin_left", "bin_right", "count"],
+                 ([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))]
+                  for k in range(counts.shape[0])), meta=meta)
 
 
 def write_predictions_csv(path, y_hat, p_z1, z_hat, y_true=None, z_true=None,
                           losses=None, meta=None):
-    lines = _meta_lines(meta)
-    header = "row,y_hat,p_z1,z_hat"
+    columns = {"row": map(str, range(len(y_hat))), "y_hat": map(_fmt, y_hat),
+               "p_z1": map(_fmt, p_z1), "z_hat": (str(int(v)) for v in z_hat)}
     if y_true is not None:
-        header += ",y_true"
+        columns["y_true"] = map(_fmt, y_true)
     if z_true is not None:
-        header += ",z_true"
-    lines.append(header)
-    for i in range(len(y_hat)):
-        cells = [str(i), _fmt(y_hat[i]), _fmt(p_z1[i]), str(int(z_hat[i]))]
-        if y_true is not None:
-            cells.append(_fmt(y_true[i]))
-        if z_true is not None:
-            cells.append(str(int(z_true[i])))
-        lines.append(",".join(cells))
-    for k, v in (losses or {}).items():
-        lines.append(f"#{k}: {_fmt(v)}")
-    _write_lines(path, lines)
+        columns["z_true"] = (str(int(v)) for v in z_true)
+    _write_table(path, list(columns), zip(*columns.values()), meta=meta,
+                 trailer={k: _fmt(v) for k, v in (losses or {}).items()})
 
 
 def write_truth_csv(path, rep, meta=None):
-    lines = _meta_lines(meta)
-    lines.append(f"#rho_true: {_fmt(rep.rho_true)}")
-    lines.append(f"#sigma2_true: {_fmt(rep.sigma2_true)}")
-    lines.append("index,beta1_true,beta2_true")
-    for j in range(rep.beta1_true.shape[0]):
-        lines.append(f"{j + 1},{_fmt(rep.beta1_true[j])},{_fmt(rep.beta2_true[j])}")
-    _write_lines(path, lines)
+    """The true coefficients, with the true rho and sigma2 as the last two
+    provenance lines; a meta entry of either name is written there once."""
+    truth = {"rho_true": _fmt(rep.rho_true), "sigma2_true": _fmt(rep.sigma2_true)}
+    meta = {k: v for k, v in (meta or {}).items() if k not in truth}
+    _write_table(path, ["index", "beta1_true", "beta2_true"],
+                 ([str(j + 1), _fmt(rep.beta1_true[j]), _fmt(rep.beta2_true[j])]
+                  for j in range(rep.beta1_true.shape[0])), meta={**meta, **truth})

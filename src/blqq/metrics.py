@@ -30,16 +30,29 @@ class LossReport:
     rho_hat: float
 
 
+def _unit_exponents(draws: np.ndarray) -> np.ndarray:
+    """Per column, the exponent e of a power of two 2^e at least the column's
+    largest |value| where that is above 1, else 0. Dividing by 2^e is exact,
+    and squares of the scaled column cannot overflow."""
+    amax = np.abs(draws).max(axis=0)
+    return np.where(amax > 1.0, np.frexp(amax)[1], 0)
+
+
 def summarize_draws(draws: np.ndarray, names) -> PosteriorSummary:
     """Summary of a (draws x parameters) matrix of post-burn-in samples."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.shape[0] < 1:
         raise ValueError("no draws to summarize")
     q = np.quantile(draws, [0.025, 0.975], axis=0)
+    if draws.shape[0] > 1:
+        e = _unit_exponents(draws)
+        sd = np.ldexp(np.ldexp(draws, -e).std(axis=0, ddof=1), e)
+    else:
+        sd = np.zeros(draws.shape[1])
     return PosteriorSummary(
         names=list(names),
         mean=draws.mean(axis=0),
-        sd=draws.std(axis=0, ddof=1) if draws.shape[0] > 1 else np.zeros(draws.shape[1]),
+        sd=sd,
         q025=q[0],
         q975=q[1],
     )
@@ -94,6 +107,7 @@ def acf(chain, max_lag: int) -> np.ndarray:
     n = chain.shape[0]
     if n < 2 * max_lag:
         raise ValueError("need at least 2 * max_lag draws")
+    chain = np.ldexp(chain, -_unit_exponents(chain))    # the ratios are scale-free
     centered = chain - chain.mean()
     c0 = float(centered @ centered) / n
     if c0 == 0.0:
@@ -117,7 +131,7 @@ def effective_sample_size(chain) -> float:
     n = chain.shape[0]
     if n < 100:
         raise ValueError("need at least 100 draws")
-    if np.std(chain) == 0.0:
+    if chain.min() == chain.max():
         warnings.warn("constant chain: effective sample size is degenerate", RuntimeWarning)
         return 1.0
     max_lag = min(n // 2 - 1, 1000)

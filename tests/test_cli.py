@@ -81,6 +81,8 @@ def test_simulate_writes_replicates(tmp_path):
     lines = truth.read_text().splitlines()
     head = lines.index("index,beta1_true,beta2_true")
     assert lines[head - 2:head] == ["#rho_true: 0.85", "#sigma2_true: 2.0"]
+    keys = [ln.split(":", 1)[0] for ln in lines[:head]]
+    assert len(keys) == len(set(keys)), keys
     table = np.loadtxt(truth, delimiter=",", skiprows=head + 1)
     assert np.array_equal(table[:, 1], rep.beta1_true)
     assert np.array_equal(table[:, 2], rep.beta2_true)
@@ -348,6 +350,59 @@ def test_overflowing_data_exit_3(tmp_path, case):
     assert not out.exists()
 
 
+def _degenerate_lines(case):
+    rng = np.random.default_rng(21)
+    n, p = {"n-below-p": (3, 5), "n-2": (2, 3)}.get(case, (30, 3))
+    X = rng.standard_normal((n, p))
+    b = np.zeros(p)
+    b[:3] = [1.0, 0.5, 0.0]
+    y = X @ b + rng.standard_normal(n)
+    z = (X @ -b + rng.standard_normal(n) > 0).astype(int)
+    if case == "zero-column":
+        X[:, 2] = 0.0
+    elif case == "constant-column":
+        X[:, 2] = 1.5
+    elif case == "duplicate-columns":
+        X[:, 2] = X[:, 0]
+    elif case == "constant-y":
+        y[:] = 2.0
+    elif case in ("z-all-0", "z-all-1"):
+        z[:] = int(case[-1])
+    elif case == "perfect-fit":
+        y = X @ b
+    elif case.startswith("x-times-"):
+        X = float(case[8:]) * X
+    elif case.startswith("y-times-"):
+        y = float(case[8:]) * y
+    header = [f"x{j + 1}" for j in range(p)] + ["y", "z"]
+    return [",".join(header)] + [",".join([*map(repr, row), repr(yi), str(zi)])
+                                 for row, yi, zi in zip(X.tolist(), y.tolist(), z.tolist())]
+
+
+@pytest.mark.parametrize("case", [
+    "n-below-p", "zero-column", "constant-column", "constant-y", "z-all-0", "z-all-1",
+    "duplicate-columns", "n-2", "perfect-fit", "x-times-1e150", "x-times-1e-150",
+    "y-times-1e150", "y-times-1e-150"])
+def test_degenerate_data(tmp_path, case):
+    # any file the parser accepts ends in exit 0, 2 or 3, never in an exception
+    # out of main; a fit that succeeds reports finite summaries, ESS and acf
+    # values, with no numpy overflow warning (sigma2 near 1e300 at y * 1e150)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(_degenerate_lines(case)) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["fit", "--data", data, "--out-dir", out, *FAST])
+    assert code in (0, 2, 3)
+    assert not [w for w in caught if "encountered in" in str(w.message)], caught
+    if code == 0:
+        summary = [ln.split(",") for ln in data_rows(out / "summary.csv")[1:]]
+        diagnostics = [ln.split(",") for ln in data_rows(out / "diagnostics.csv")]
+        values = [float(c) for cells in summary for c in cells[1:]]
+        values += [float(cells[3]) for cells in diagnostics if cells[0] in ("ess", "acf")]
+        assert np.isfinite(values).all()
+
+
 @pytest.mark.parametrize("lines, message", [
     (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
      "line 1: repeated column 'y'"),
@@ -424,6 +479,36 @@ def test_replicate_byte_identical_rerun(tmp_path):
     run(args + ["--out-dir", tmp_path / "b"])
     for f in ("losses_raw.csv", "losses_summary.csv"):
         assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+
+def test_every_written_file_is_a_table(tmp_path, monkeypatch):
+    # each CSV any command writes reads back through the one table reader,
+    # every row with the header's cell count; a failure message with a comma
+    # stays one status cell
+    _, out, train = fit_once(tmp_path, "fit")
+    fit_once(tmp_path, "smb", extra=["--model", "smb"])
+    assert run(["predict", "--chain", out / "chain.csv", "--data", train.parent / "rep0_test.csv",
+                "--out", tmp_path / "pred.csv"]) == 0
+    assert run(["summarize", "--chain", out / "chain.csv", "--out", tmp_path / "summ.csv"]) == 0
+    real = cli.run_chain
+    calls = []
+
+    def flaky(*a, **k):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("numeric failure at iteration 1: a, b")
+        return real(*a, **k)
+
+    monkeypatch.setattr(cli, "run_chain", flaky)
+    assert run(["replicate", "--p", "4", "--sparsity", "0.25", "--replicates", "1",
+                *FAST, "--out-dir", tmp_path / "rep"]) == 0
+    paths = sorted(tmp_path.rglob("*.csv"))
+    assert len(paths) == 3 + 2 * 13 + 2 + 2    # simulate, 2 fits, predict, summarize, replicate
+    for path in paths:
+        header, rows = bio._read_table(path, "file")
+        assert all(len(cells) == len(header) for _, cells in rows), path
+    raw = (tmp_path / "rep" / "losses_raw.csv").read_text()
+    assert "failed: numeric failure at iteration 1: a; b" in raw
 
 
 def test_replicate_records_failures_and_continues(tmp_path, monkeypatch):

@@ -59,6 +59,15 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         bio.parse_dataset_csv(path)
 
 
+def test_file_without_header_row(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_lines(path, ["#seed: 0", "", "#orders: 1"])
+    with pytest.raises(bio.DatasetFormatError, match="^file has no header row$"):
+        bio.parse_dataset_csv(path)
+    with pytest.raises(bio.DatasetFormatError, match="^chain file has no header row$"):
+        bio.read_chain_csv(path)
+
+
 def test_parse_rejects_repeated_column(tmp_path):
     # a second 'y' would otherwise be read as a predictor named 'y', and a
     # write -> parse round trip would swap it with the response

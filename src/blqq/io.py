@@ -6,10 +6,18 @@ LF line endings and '.' decimals; provenance (seed and configuration) in
 leading '#key: value' lines; shortest round-trip float formatting, so
 parse(write(x)) == x exactly. Both are private, so that each file is read
 or written by exactly one public read_/parse_/write_ call.
+
+The files blqq reads, datasets and chains, hold only numbers below the
+header, and np.loadtxt parses them in C, bit for bit as float() would. So
+every data cell must be a number as numpy spells one ('1_0' and non-ASCII
+digits are refused), a chain's non-draw columns included; a cell may be in
+double quotes, and a z of 1.0 reads as 1. Blank lines, '#' lines between
+rows and CRLF line endings are accepted.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 
 import numpy as np
 
@@ -36,31 +44,43 @@ def config_meta(cfg: ChainConfig, extra=None) -> dict:
     return meta
 
 
-def _cell_float(cell, lineno, column) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise DatasetFormatError(
-            f"line {lineno}: non-numeric value {cell!r} in column {column!r}") from None
+# How np.loadtxt reads a table's data lines: comma-separated float cells, a
+# cell optionally in double quotes; '#' and blank lines never reach it.
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"')
 
 
 def _read_table(path, what, on_comment=None):
-    """(header, rows) of a CSV file, where rows iterates over the (line number,
-    cells) of each data row as the file is read, so that a caller converting
-    cells as they come never holds a large file's text in memory.
+    """(header, values, linenos) of a CSV file: values is the float matrix of
+    its data rows, parsed by np.loadtxt as the lines are read, and linenos
+    holds the file line of each row.
 
     Blank lines are skipped and the body of each '#' line goes to
     on_comment(body, lineno). The first other line is the header: its cells
-    are stripped and may not repeat. Every later line must have as many
-    cells as the header. A file without a header row raises when read here.
+    are stripped and may not repeat. Every later line must hold as many cells
+    as the header, each a number; a file without a header row, or with a line
+    that is not such a row, raises a DatasetFormatError naming it.
     """
-    rows = _table_lines(path, what, on_comment)
-    return next(rows), rows
+    header, linenos = [], []
+    lines = _data_lines(path, what, on_comment, header, linenos)
+    first = next(lines, None)
+    if first is None:               # no data row, which np.loadtxt would warn about
+        return header, np.empty((0, len(header))), linenos
+    try:
+        values = np.loadtxt(itertools.chain([first], lines), dtype=float, ndmin=2, **_LOADTXT)
+    except DatasetFormatError:      # raised by on_comment, passed on as it is
+        raise
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(linenos), len(header)):
+        lines.close()
+        raise _row_error(path, what, header)
+    return header, values, linenos
 
 
-def _table_lines(path, what, on_comment):
-    """_read_table's line loop: yields the header, then (lineno, cells) per row."""
-    header = None
+def _data_lines(path, what, on_comment, header, linenos):
+    """_read_table's line loop: fills header from the header row, then yields
+    each data line with its line ending stripped, appending its line number
+    to linenos first."""
     with open(path, "r", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -70,20 +90,41 @@ def _table_lines(path, what, on_comment):
                 if on_comment is not None:
                     on_comment(line[1:].strip(), lineno)
                 continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                for k, name in enumerate(header):
-                    if name in header[:k]:
-                        raise DatasetFormatError(f"line {lineno}: repeated column {name!r}")
-                yield header
-            elif len(cells) != len(header):
-                raise DatasetFormatError(
-                    f"line {lineno}: expected {len(header)} cells, found {len(cells)}")
-            else:
-                yield lineno, cells
-    if header is None:
+            if header:
+                linenos.append(lineno)
+                yield line
+                continue
+            header.extend(c.strip() for c in next(csv.reader([line])))
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise DatasetFormatError(f"line {lineno}: repeated column {name!r}")
+    if not header:
         raise DatasetFormatError(f"{what} has no header row")
+
+
+def _row_error(path, what, header) -> DatasetFormatError:
+    """The error naming the first data line of a file that np.loadtxt did not
+    read as one row of len(header) floats: its cell count, or the first cell
+    that is not a number."""
+    linenos = []
+    for line in _data_lines(path, what, None, [], linenos):
+        try:
+            if np.loadtxt([line], dtype=float, ndmin=2, **_LOADTXT).shape[1] == len(header):
+                continue
+        except ValueError:
+            pass
+        cells = np.loadtxt([line], dtype=str, ndmin=1, **_LOADTXT)
+        if len(cells) != len(header):
+            return DatasetFormatError(
+                f"line {linenos[-1]}: expected {len(header)} cells, found {len(cells)}")
+        for j, name in enumerate(header):
+            try:
+                np.loadtxt([line], dtype=float, usecols=j, **_LOADTXT)
+            except ValueError:
+                return DatasetFormatError(f"line {linenos[-1]}: non-numeric value "
+                                          f"{str(cells[j])!r} in column {name!r}")
+    # every line reads alone, so an open quote joined lines
+    return DatasetFormatError(f"{what} has a quoted cell that runs past its line")
 
 
 def _write_table(path, header, rows, meta=None, trailer=None):
@@ -124,7 +165,7 @@ def parse_dataset_csv(path, require_responses: bool = True):
                                      "but effect orders must be nonnegative")
         orders.update(spec=spec, line=lineno)
 
-    header, rows = _read_table(path, "file", on_comment)
+    header, values, linenos = _read_table(path, "file", on_comment)
     has_y = "y" in header
     has_z = "z" in header
     if require_responses and not has_y:
@@ -138,26 +179,24 @@ def parse_dataset_csv(path, require_responses: bool = True):
     if not pred_idx:
         raise DatasetFormatError("no predictor columns found")
 
-    X, y, z = [], [], []
-    for lineno, cells in rows:
-        X.append([_cell_float(cells[j], lineno, header[j]) for j in pred_idx])
-        if has_y:
-            y.append(_cell_float(cells[y_idx], lineno, "y"))
-        if has_z:
-            val = cells[z_idx].strip()
-            if val not in ("0", "1"):
-                raise DatasetFormatError(
-                    f"line {lineno}: column 'z' must be 0 or 1, found {val!r}")
-            z.append(int(val))
+    # C-ordered copies (take, not fancy indexing): BLAS may round a strided
+    # or Fortran-ordered operand differently
+    X = values.take(pred_idx, axis=1)
+    y = values.take(y_idx, axis=1) if has_y else None
+    z = None
+    if has_z:
+        binary = np.isin(values[:, z_idx], (0, 1))
+        if not binary.all():
+            k = int(np.argmin(binary))
+            raise DatasetFormatError(f"line {linenos[k]}: column 'z' must be 0 or 1, "
+                                     f"found {_fmt(values[k, z_idx])}")
+        z = values.take(z_idx, axis=1).astype(int)
 
     columns = [header[j] for j in pred_idx]
     spec = orders.get("spec", np.ones(len(pred_idx), dtype=int))
     if len(spec) != len(pred_idx):
         raise DatasetFormatError(f"line {orders['line']}: #orders: lists {len(spec)} "
                                  f"entries for {len(pred_idx)} predictors")
-    X = np.array(X, dtype=float).reshape(len(X), len(pred_idx))
-    y = np.array(y, dtype=float) if has_y else None
-    z = np.array(z, dtype=int) if has_z else None
     return Dataset(X, y, z, columns=columns), EffectOrders(spec)
 
 
@@ -191,19 +230,13 @@ def _draw_column_index(header) -> list:
 
 
 def read_chain_csv(path) -> Draws:
-    """Read a chain file; columns other than the draw columns are ignored."""
-    header, rows = _read_table(path, "chain file")
+    """Read a chain file. Every cell must be a number; columns other than the
+    draw columns are then ignored."""
+    header, values, _ = _read_table(path, "chain file")
     idx = _draw_column_index(header)
-    draws = []
-    for lineno, cells in rows:
-        try:
-            draws.append([float(cells[k]) for k in idx])
-        except ValueError:
-            for k in idx:       # raises, naming the first bad cell
-                _cell_float(cells[k], lineno, header[k])
-    if not draws:
+    if not len(values):
         raise DatasetFormatError("chain file has no draws")
-    draws = Draws(np.array(draws))
+    draws = Draws(values.take(idx, axis=1))
     _check_support(draws)
     return draws
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -193,7 +194,18 @@ def test_predict_with_some_responses(tmp_path, keep):
                  id="False-None-bad rho cell"),
     pytest.param(False, None, {"rho": "1.0", "sigma2": "-2.0"},
                  r"draw 1: column 'sigma2' holds -2\.0, outside \(0\.0, inf\)",
-                 id="False-None-draw outside support")])
+                 id="False-None-draw outside support"),
+    pytest.param(False, None, {"rho": ""}, "line 2: non-numeric value '' in column 'rho'",
+                 id="empty cell"),
+    pytest.param(False, None, {"r2": "0.5,"}, r"line 2: expected \d+ cells, found \d+",
+                 id="trailing comma"),
+    pytest.param(False, None, {"rho": "0.5,0.5,0.5"}, r"line 2: expected \d+ cells, found \d+",
+                 id="row too long"),
+    pytest.param(False, None, {"beta1_1": "1_0"},
+                 "line 2: non-numeric value '1_0' in column 'beta1_1'", id="underscore digits"),
+    pytest.param(False, None, {"iteration": "abc"},
+                 "line 2: non-numeric value 'abc' in column 'iteration'",
+                 id="non-numeric non-draw column")])
 def test_malformed_chain_exit_2(tmp_path, capsys, drop_rows, drop_column, bad_cells, message):
     _, out, train = fit_once(tmp_path, "fit")
     lines = [l.split(",") for l in data_rows(out / "chain.csv")]
@@ -482,8 +494,8 @@ def test_replicate_byte_identical_rerun(tmp_path):
 
 
 def test_every_written_file_is_a_table(tmp_path, monkeypatch):
-    # each CSV any command writes reads back through the one table reader,
-    # every row with the header's cell count; a failure message with a comma
+    # each CSV any command writes is one table: below its '#' lines, every
+    # row has the header's cell count, and a failure message with a comma
     # stays one status cell
     _, out, train = fit_once(tmp_path, "fit")
     fit_once(tmp_path, "smb", extra=["--model", "smb"])
@@ -505,8 +517,9 @@ def test_every_written_file_is_a_table(tmp_path, monkeypatch):
     paths = sorted(tmp_path.rglob("*.csv"))
     assert len(paths) == 3 + 2 * 13 + 2 + 2    # simulate, 2 fits, predict, summarize, replicate
     for path in paths:
-        header, rows = bio._read_table(path, "file")
-        assert all(len(cells) == len(header) for _, cells in rows), path
+        lines = [l for l in path.read_text().splitlines() if l.strip() and not l.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert all(len(cells) == len(header) for cells in rows), path
     raw = (tmp_path / "rep" / "losses_raw.csv").read_text()
     assert "failed: numeric failure at iteration 1: a; b" in raw
 

@@ -11,14 +11,30 @@ def sample_data():
                                             n_train=20, n_test=5), 0).train
 
 
+def extreme_doubles(rng, n):
+    """n doubles whose text a parser can get wrong: the smallest subnormal,
+    the smallest normal and the largest double (both signs), -0.0, 0.1 and
+    1/3, then random doubles across the exponent range, which mostly take 17
+    significant digits to write."""
+    fixed = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1, 1 / 3]
+    fixed += [-v for v in fixed[:3]]
+    spread = rng.uniform(-10, 10, n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.concatenate([fixed, spread])[:n]
+
+
 def test_dataset_round_trip_exact(tmp_path):
     data = sample_data()
+    data.X[:] = extreme_doubles(np.random.default_rng(7), data.X.size).reshape(data.X.shape)
+    data.y[:] = extreme_doubles(np.random.default_rng(8), data.n)[::-1]
     orders = EffectOrders([1, 1, 2])
     path = tmp_path / "d.csv"
     bio.write_dataset_csv(path, data, orders=orders, meta={"seed": 0})
     back, back_orders = bio.parse_dataset_csv(path)
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.y, data.y)
+    assert np.array_equal(np.signbit(back.X), np.signbit(data.X))
+    assert np.array_equal(np.signbit(back.y), np.signbit(data.y))
+    assert back.X.flags.c_contiguous and back.y.flags.c_contiguous
     assert np.array_equal(back.z, data.z)
     assert back.columns == data.columns
     assert np.array_equal(back_orders.orders, orders.orders)
@@ -42,13 +58,21 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(bio.DatasetFormatError, match="line 3"):
         bio.parse_dataset_csv(path)
 
-    write_lines(path, ["x1,y,z", "1.0,2.0,2"])
-    with pytest.raises(bio.DatasetFormatError, match="'z' must be 0 or 1"):
+    write_lines(path, ["x1,y,z", "1.0,2.0,1", "", "#note", "1.0,2.0,2"])
+    with pytest.raises(bio.DatasetFormatError, match="line 5: column 'z' must be 0 or 1, found 2.0"):
         bio.parse_dataset_csv(path)
 
     write_lines(path, ["x1,y,z", "1.0,2.0"])
-    with pytest.raises(bio.DatasetFormatError, match="expected 3 cells"):
+    with pytest.raises(bio.DatasetFormatError, match="line 2: expected 3 cells, found 2"):
         bio.parse_dataset_csv(path)
+
+    for row, message in [("1.0,,1", "non-numeric value '' in column 'y'"),
+                         ("1.0,2.0,1,", "expected 3 cells, found 4"),
+                         ("1.0,2.0,1,4.0,5.0", "expected 3 cells, found 5"),
+                         ("1_0,2.0,1", "non-numeric value '1_0' in column 'x1'")]:
+        write_lines(path, ["#seed: 0", "x1,y,z", "1.0,2.0,1", row, "0.5,1.0,0"])
+        with pytest.raises(bio.DatasetFormatError, match=f"^line 4: {message}$"):
+            bio.parse_dataset_csv(path)
 
     write_lines(path, ["x1,z", "1.0,1"])
     with pytest.raises(bio.DatasetFormatError, match="missing required column 'y'"):
@@ -57,6 +81,24 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     write_lines(path, ["#orders: 1,2", "x1,y,z", "1.0,2.0,1", "0.5,1.0,0"])
     with pytest.raises(bio.DatasetFormatError, match="line 1: #orders: lists 2 entries"):
         bio.parse_dataset_csv(path)
+
+
+def test_parse_skips_blank_and_comment_lines_crlf_and_quotes(tmp_path):
+    # '#' and blank lines between rows, as a predictions file's '#rmse:'
+    # trailer, CRLF endings, a quoted number and a z written as a float
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'#seed: 0\r\nx1,y,z\r\n1.5,"2.5",1\r\n\r\n#note: x\r\n'
+                     b'-0.5, 1e-3 ,1.0\r\n#rmse: 0.5\r\n')
+    data, _ = bio.parse_dataset_csv(path)
+    assert data.X.tolist() == [[1.5], [-0.5]]
+    assert data.y.tolist() == [2.5, 0.001]
+    assert data.z.tolist() == [1, 1] and data.z.dtype.kind == "i"
+
+    chain = random_draws(np.random.default_rng(9), p=1, n=2)
+    cells = [[f'"{v!r}"' for v in row.tolist()] for row in chain.draws]
+    path.write_bytes(("\r\n".join([",".join(chain.names), ",".join(cells[0]), "",
+                                     "#note: x", ",".join(cells[1])]) + "\r\n").encode())
+    assert np.array_equal(bio.read_chain_csv(path).draws, chain.draws)
 
 
 def test_file_without_header_row(tmp_path):
@@ -109,10 +151,13 @@ def random_draws(rng, p, n):
 
 def test_chain_round_trip_exact(tmp_path):
     chain = random_draws(np.random.default_rng(0), p=2, n=25)
+    chain.beta1[:] = extreme_doubles(np.random.default_rng(1), 50).reshape(25, 2)
+    chain.beta2[:] = extreme_doubles(np.random.default_rng(2), 50)[::-1].reshape(25, 2)
     path = tmp_path / "chain.csv"
     bio.write_chain_csv(path, chain, meta={"seed": 1})
     back = bio.read_chain_csv(path)
     assert np.array_equal(back.draws, chain.draws)
+    assert np.array_equal(np.signbit(back.draws), np.signbit(chain.draws))
     assert back.draws.flags.c_contiguous
     for name in ("beta1", "beta2", "sigma2", "rho", "tau1_sq", "tau2_sq", "r1", "r2"):
         assert np.array_equal(getattr(back, name), getattr(chain, name)), name

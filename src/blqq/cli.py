@@ -183,26 +183,25 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def run_setting(rho, p, s, replicates, args):
+def run_setting(rho, p, s, replicates, prior: PriorConfig, cfg: ChainConfig):
     """Generate -> fit BLQQ and SM(B) -> score, for one grid setting.
 
-    Per-replicate failures are recorded and the run continues.
+    Replicate k's chains run at seed cfg.seed + 7919 k (BLQQ) and one more
+    (SM(B)). Per-replicate failures are recorded and the run continues.
     """
     scenario = SimulationScenario(p=p, sparsity=s, rho_true=rho,
-                                  base_seed=args.seed, replicates=replicates)
-    prior = _prior_config(args)
+                                  base_seed=cfg.seed, replicates=replicates)
     rows = []
     for k in range(replicates):
         rep = gen_replicate(scenario, k)
         orders = EffectOrders(np.ones(p, dtype=int))
         for method in ("blqq", "smb"):
-            cfg = replace(_chain_config(args),
-                          seed=args.seed + 7919 * k + (0 if method == "blqq" else 1))
+            rep_cfg = replace(cfg, seed=cfg.seed + 7919 * k + (0 if method == "blqq" else 1))
             try:
                 if method == "smb":
-                    chain = fit_sm_b(rep.train, orders, prior, cfg)
+                    chain = fit_sm_b(rep.train, orders, prior, rep_cfg)
                 else:
-                    chain = run_chain(rep.train, orders, prior, cfg)
+                    chain = run_chain(rep.train, orders, prior, rep_cfg)
                 report = evaluate_fit(chain, rep.test, rep.beta1_true, rep.beta2_true)
                 rows.append((k, method, report, "ok"))
             except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -232,9 +231,10 @@ def _aggregate(rows):
 def cmd_replicate(args) -> int:
     raw_header = ["setting", "replicate", "method", "status", *LOSS_FIELDS, "fp", "fn"]
     raw_rows, agg_rows = [], []
+    prior, cfg = _prior_config(args), _chain_config(args)
     for rho, p, s in _settings(args):
         name = _setting_name(rho, p, s)
-        rows = run_setting(rho, p, s, args.replicates, args)
+        rows = run_setting(rho, p, s, args.replicates, prior, cfg)
         for k, method, report, status in rows:
             cells = [name, str(k), method, status]
             if report is None:

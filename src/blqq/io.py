@@ -4,8 +4,9 @@ One reader, _read_table, and one writer, _write_table, decide the format of
 every file blqq reads or writes: comma-separated cells, never quoted, with
 LF line endings and '.' decimals; provenance (seed and configuration) in
 leading '#key: value' lines; shortest round-trip float formatting, so
-parse(write(x)) == x exactly. Both are private, so that each file is read
-or written by exactly one public read_/parse_/write_ call.
+parse(write(x)) == x exactly. Both are private, as bench/tracing.py counts
+I/O at the public read_/parse_/write_ calls; blqq replicate's two loss tables
+and scripts/run_case_study.py's splits.csv call _write_table directly.
 
 The files blqq reads, datasets and chains, hold only numbers below the
 header, and np.loadtxt parses them in C, bit for bit as float() would. So
@@ -179,18 +180,20 @@ def parse_dataset_csv(path, require_responses: bool = True):
     if not pred_idx:
         raise DatasetFormatError("no predictor columns found")
 
+    # every cell must be finite and every z 0 or 1; the first bad cell is named
+    ok = np.isfinite(values)
+    if has_z:
+        ok[:, z_idx] = np.isin(values[:, z_idx], (0, 1))
+    if not ok.all():
+        k, j = divmod(int(np.argmin(ok)), ok.shape[1])
+        rule = "be 0 or 1" if j == z_idx else "be finite"
+        raise DatasetFormatError(f"line {linenos[k]}: column {header[j]!r} must {rule}, "
+                                 f"found {_fmt(values[k, j])}")
     # C-ordered copies (take, not fancy indexing): BLAS may round a strided
     # or Fortran-ordered operand differently
     X = values.take(pred_idx, axis=1)
     y = values.take(y_idx, axis=1) if has_y else None
-    z = None
-    if has_z:
-        binary = np.isin(values[:, z_idx], (0, 1))
-        if not binary.all():
-            k = int(np.argmin(binary))
-            raise DatasetFormatError(f"line {linenos[k]}: column 'z' must be 0 or 1, "
-                                     f"found {_fmt(values[k, z_idx])}")
-        z = values.take(z_idx, axis=1).astype(int)
+    z = values.take(z_idx, axis=1).astype(int) if has_z else None
 
     columns = [header[j] for j in pred_idx]
     spec = orders.get("spec", np.ones(len(pred_idx), dtype=int))

@@ -30,7 +30,6 @@ from operator import mul
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import special
 
 from .distributions import _TINY, _draw_halfline, sample_scaled_inv_chi2
 from .model import (
@@ -108,11 +107,13 @@ class SamplerWorkspace:
     @classmethod
     def build(cls, data: Dataset, state: ParameterState) -> "SamplerWorkspace":
         X, y = data.X, data.y
+        with np.errstate(over="ignore", invalid="ignore"):   # _check_conditioning names it
+            gram = X.T @ X
         return cls(
             X=X,
             y=y,
             z=data.z,
-            gram=X.T @ X,
+            gram=gram,
             xty=X.T @ y,
             xtu=X.T @ state.u,
             eta=state.u - X @ state.beta1,
@@ -317,10 +318,14 @@ def _rw_mh(cur, to_free, from_free, log_target, step, gen):
 
     log_target(x) is the log density of x plus the log Jacobian of from_free.
     A proposal whose log target is -inf is rejected: the log ratio is then
-    -inf and log u never falls below it.
+    -inf and log u never falls below it; so is one that overflows (math.exp
+    beyond the float range), after drawing the same two variates.
     """
-    prop = from_free(to_free(cur) + step * gen.standard_normal())
-    log_ratio = log_target(prop) - log_target(cur)
+    try:
+        prop = from_free(to_free(cur) + step * gen.standard_normal())
+        log_ratio = log_target(prop) - log_target(cur)
+    except OverflowError:
+        prop, log_ratio = cur, -math.inf
     if math.log(max(gen.random(), 1e-300)) < log_ratio:
         return prop, True
     return cur, False
@@ -405,26 +410,27 @@ def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
 
 
 def init_state(data: Dataset):
-    """Initialization: least squares for beta2/sigma^2, probit MLE for beta1,
+    """Initialization: one least-squares fit of X to [y, 2z - 1] for beta2 and
+    beta1 (ridge where X has rank below p), the residual variance for sigma^2,
     sign-corrected link values for u, sample correlation for rho, and the
     hypers at _INITIAL_HYPER. A start that is not finite (data whose squares
     overflow) raises RuntimeError, as a numeric failure in a scan does; the
     overflow and invalid-value warnings numpy would print on the way, from
-    here, _fit_probit and corrcoef, are silenced, because that error names
-    the failure."""
+    here and corrcoef, are silenced, because that error names the failure."""
     X, y, z = data.X, data.y, data.z
     n, p = X.shape
 
     with np.errstate(over="ignore", invalid="ignore"):
-        beta2, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+        rhs = np.column_stack((y, 2.0 * z - 1.0))
+        coef, _, rank, _ = np.linalg.lstsq(X, rhs, rcond=None)
         if rank < p:
             warnings.warn("X'X is singular; using ridge-regularized least squares",
                           RuntimeWarning)
-            beta2 = np.linalg.solve(X.T @ X + 1e-6 * np.eye(p), X.T @ y)
+            coef = np.linalg.solve(X.T @ X + 1e-6 * np.eye(p), X.T @ rhs)
+        beta2, beta1 = coef.T.copy()
         resid = y - X @ beta2
         sigma2 = max(float(resid @ resid) / n, 1e-6)
 
-        beta1 = _fit_probit(X, z)
         xb = X @ beta1
         mag = np.maximum(np.abs(xb), 1e-3)
         u0 = np.where(z == 1, mag, -mag)
@@ -440,45 +446,6 @@ def init_state(data: Dataset):
         if not np.isfinite(value).all():
             raise RuntimeError(f"numeric failure at the start: {name} is not finite")
     return ParameterState(**start), HyperState(**_INITIAL_HYPER)
-
-
-def _fit_probit(X, z, lam=0.0, max_iter=50):
-    """Probit coefficients by Fisher scoring with ridge penalty lam.
-
-    lam=0 is the maximum likelihood fit, with a 1e-8 jitter on the
-    information; it falls back to the lam=1 ridge fit, with a warning, when z
-    is constant, a scoring step cannot be solved, or the coefficients diverge
-    (separation).
-    """
-    def ridge(reason):
-        warnings.warn(f"{reason}; using ridge-penalized probit", RuntimeWarning)
-        return _fit_probit(X, z, lam=1.0, max_iter=max_iter)
-
-    mle = lam == 0.0
-    if mle and len(np.unique(z)) < 2:
-        return ridge("binary response is constant")
-    p = X.shape[1]
-    shift = (lam if lam else 1e-8) * np.eye(p)
-    beta = np.zeros(p)
-    for _ in range(max_iter):
-        lin = np.clip(X @ beta, -8.0, 8.0)
-        cdf = np.clip(special.ndtr(lin), 1e-10, 1.0 - 1e-10)
-        pdf = np.exp(-0.5 * lin * lin) / math.sqrt(2.0 * math.pi)
-        wgt = pdf * pdf / (cdf * (1.0 - cdf))
-        grad = X.T @ (pdf * (z - cdf) / (cdf * (1.0 - cdf))) - lam * beta
-        hess = X.T @ (wgt[:, None] * X) + shift
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            if not mle:
-                raise
-            return ridge("probit scoring failed")
-        beta = beta + delta
-        if mle and (not np.all(np.isfinite(beta)) or np.max(np.abs(beta)) > 50.0):
-            return ridge("probit separation detected")
-        if np.max(np.abs(delta)) < 1e-8:
-            break
-    return beta
 
 
 @dataclass

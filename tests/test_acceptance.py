@@ -4,7 +4,6 @@ PASS/FAIL line with the measured quantity and its pinned tolerance.
 The slow criteria (4, 5, 6, 8, 9) run desk-scale replications of the
 simulation study; the whole module targets well under an hour end to end.
 """
-import argparse
 import math
 import time
 
@@ -31,12 +30,6 @@ from blqq.simulate import SimulationScenario, gen_birth_records, gen_replicate
 def report(num, ok, detail):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def replicate_args(seed, iterations=5000, burn_in=500):
-    return argparse.Namespace(
-        seed=seed, iterations=iterations, burn_in=burn_in, thin=1,
-        nu=2.0, delta_sq=2.0, beta_a=0.1, beta_b=0.1)
 
 
 def test_criterion_1_loo_shortcut_oracle():
@@ -159,9 +152,13 @@ def test_criterion_3_rho_zero_decoupling():
                   f"(tol 3)")
 
 
+# the chain of both Table 1 criteria, each replicate seeded from it as blqq replicate does
+TABLE1_CHAIN = ChainConfig(iterations=5000, burn_in=500, seed=0)
+
+
 def test_criterion_4_table1_rho085():
     t0 = time.perf_counter()
-    rows = run_setting(0.85, 10, 0.2, 10, replicate_args(seed=0))
+    rows = run_setting(0.85, 10, 0.2, 10, PriorConfig(), TABLE1_CHAIN)
     table = _aggregate(rows)
     n_ok = table["blqq"]["rmse"][2]
     rho_hat = table["blqq"]["rho_hat"][0]
@@ -176,7 +173,7 @@ def test_criterion_4_table1_rho085():
 
 
 def test_criterion_5_table1_rho_neg05():
-    rows = run_setting(-0.5, 10, 0.2, 10, replicate_args(seed=0))
+    rows = run_setting(-0.5, 10, 0.2, 10, PriorConfig(), TABLE1_CHAIN)
     table = _aggregate(rows)
     neg = sum(1 for (_, m, rep, _) in rows
               if m == "blqq" and rep is not None and rep.rho_hat < 0)

@@ -11,7 +11,7 @@ import pytest
 import blqq.cli as cli
 from blqq import io as bio
 from blqq.cli import main
-from blqq.model import Dataset, EffectOrders
+from blqq.model import Dataset, Draws, EffectOrders
 from blqq.simulate import SimulationScenario, gen_replicate
 
 FAST = ["--iterations", "200", "--burn-in", "50"]
@@ -296,6 +296,30 @@ def test_fit_malformed_data_exit_2(tmp_path, capsys):
     assert "must be 0 or 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell, column, found", [
+    ("nan", "x2", "nan"), ("inf", "x2", "inf"), ("-inf", "x2", "-inf"),
+    ("nan", "y", "nan"), ("1e999", "y", "inf")])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_non_finite_cell_exit_2(tmp_path, capsys, command, cell, column, found):
+    # the error names the line and column of the first non-finite cell, as
+    # every other bad-cell message names its line
+    rows = [["0.1", "0.2", "1.0", "1"], ["0.3", "0.4", "2.0", "0"], ["0.5", "0.6", "3.0", "1"]]
+    rows[1][["x1", "x2", "y"].index(column)] = cell
+    bad = tmp_path / "bad.csv"
+    lines = ["#seed: 0", "x1,x2,y,z", *(",".join(r) for r in rows)]
+    bad.write_text("\n".join(lines) + "\n")
+    if command == "fit":
+        argv = ["fit", "--data", bad, "--out-dir", tmp_path / "o", *FAST]
+    else:
+        chain = tmp_path / "chain.csv"
+        bio.write_chain_csv(chain, Draws(np.full((1, 2 * 2 + 6), 0.5)))
+        argv = ["predict", "--chain", chain, "--data", bad, "--out", tmp_path / "p.csv"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"line 4: column '{column}' must be finite, found {found}" in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "p.csv").exists()
+
+
 def test_numeric_failure_exit_3(tmp_path, monkeypatch, capsys):
     _, out, train = fit_once(tmp_path, "fit")
 
@@ -413,6 +437,24 @@ def test_degenerate_data(tmp_path, case):
         values = [float(c) for cells in summary for c in cells[1:]]
         values += [float(cells[3]) for cells in diagnostics if cells[0] in ("ess", "acf")]
         assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sigma2_near_float_max(tmp_path, n):
+    # at y ~ 1e153 on a few rows sigma2 starts near 1e306, and a log-scale
+    # proposal beyond the float range must be rejected, not raise out of main;
+    # the overflow warnings _cross_quad prints on the way are not checked here
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n, 2))
+    y = (X[:, 0] - X[:, 1] + rng.standard_normal(n)) * 1e153
+    z = (X[:, 0] + rng.standard_normal(n) > 0).astype(int)
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,y,z\n" + "".join(f"{a!r},{b!r},{c!r},{d}\n" for (a, b), c, d
+                                            in zip(X.tolist(), y.tolist(), z.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = run(["fit", "--data", data, "--out-dir", tmp_path / "o", *FAST])
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -33,14 +34,25 @@ def test_init_state_basics():
     assert hyper.tau1_sq == 0.5 and hyper.r1 == 0.3
 
 
-def test_init_state_constant_z_falls_back():
+@pytest.mark.parametrize("case", ["z-all-0", "z-all-1", "separated", "n-below-p"])
+def test_init_state_edge_cases(case):
+    # a constant or perfectly separated z, or fewer rows than columns, still
+    # gives a finite start with each u on the side its z dictates; the only
+    # warning is the singular X'X one, and only where X has rank below p
     rng = np.random.default_rng(1)
-    X = rng.standard_normal((20, 2))
-    data = Dataset(X, rng.standard_normal(20), np.ones(20, dtype=int))
-    with pytest.warns(RuntimeWarning):
+    n, p = (3, 5) if case == "n-below-p" else (20, 2)
+    X = rng.standard_normal((n, p))
+    z = {"z-all-0": np.zeros(n), "z-all-1": np.ones(n)}.get(case, X[:, 0] > 0)
+    data = Dataset(X, rng.standard_normal(n), z.astype(int))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         state, _ = init_state(data)
-    assert np.all(np.isfinite(state.beta1))
-    assert np.all(state.u >= 0)
+    singular = np.linalg.matrix_rank(X) < p
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == (
+        ["X'X is singular; using ridge-regularized least squares"] if singular else [])
+    for value in (state.beta1, state.beta2, state.sigma2, state.rho, state.u):
+        assert np.all(np.isfinite(value))
+    assert np.all((state.u >= 0) == (data.z == 1))
 
 
 def test_init_state_singular_design_falls_back():

@@ -203,3 +203,21 @@ def test_kernels_survive_step_ceiling(kernel):
     for seed in range(200):
         val, _ = move(np.random.default_rng(seed))
         assert in_support(val), (seed, val)
+
+
+def test_sigma2_proposal_beyond_float_range_is_rejected():
+    # exp of a log-scale proposal above ~709.8 is not a float: the move is
+    # rejected, as one whose target is -inf, after drawing its normal and its
+    # uniform, so the stream stays in step with a move that did not overflow
+    state, ws = fixed_residual_setup(sigma2=1e300, rho=0.0)
+    prior = PriorConfig()
+    overflowed = 0
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if math.log(1e300) + 80.0 * ref.standard_normal() < 710.0:
+            continue
+        overflowed += 1
+        assert sample_sigma2_mh(state, ws, prior, 80.0, rng) == (1e300, False)
+        ref.random()
+        assert rng.random() == ref.random()
+    assert overflowed >= 5

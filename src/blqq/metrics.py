@@ -44,14 +44,15 @@ def summarize_draws(draws: np.ndarray, names) -> PosteriorSummary:
     if draws.shape[0] < 1:
         raise ValueError("no draws to summarize")
     q = np.quantile(draws, [0.025, 0.975], axis=0)
+    e = _unit_exponents(draws)
+    scaled = np.ldexp(draws, -e)        # exact, and its sums cannot overflow
     if draws.shape[0] > 1:
-        e = _unit_exponents(draws)
-        sd = np.ldexp(np.ldexp(draws, -e).std(axis=0, ddof=1), e)
+        sd = np.ldexp(scaled.std(axis=0, ddof=1), e)
     else:
         sd = np.zeros(draws.shape[1])
     return PosteriorSummary(
         names=list(names),
-        mean=draws.mean(axis=0),
+        mean=np.ldexp(scaled.mean(axis=0), e),
         sd=sd,
         q025=q[0],
         q975=q[1],

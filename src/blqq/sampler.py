@@ -15,13 +15,25 @@ within a block each row reads the accumulator through the lower triangle of
 the block's kernel, at O(rows so far in the block) per row instead of O(p).
 The half-line draw itself is distributions._draw_halfline.
 
-The beta full conditional factors its precision first and checks the
-conditioning from an O(p) trace bound on the inverse it has just formed; only
-where that bound does not settle the verdict does it take the eigenvalues of
-the Jacobi-scaled precision.
+The beta full conditional factors its precision A = LL' with LAPACK dpotrf
+and inverts the factor with dtrtri; no dense covariance is formed. It checks
+the conditioning from an O(p) trace bound that reads diag(A^-1) as the
+squared column norms of L^-1; only where that bound does not settle the
+verdict does it take the eigenvalues of the Jacobi-scaled precision. The
+mean is L^-T (L^-1 t), the beta draw mu + L^-T eps, and the sweep's p x p
+kernel E' A^-1 E is W'W with W = L^-1 E, formed here so that the sweep only
+multiplies X by it.
+
+Every other move reads the state through a few scalars formed once where the
+state changes. The sigma^2 and rho targets read eta'eta, eta'phi and phi'phi,
+set with the residuals, with phi scaled by a power of two 2^-k so that no
+product overflows where the target is finite; 2^k/sigma is applied at each
+evaluation. The tau^2 draws, the r targets and the prior variances read beta
+only through one sum of squares per distinct effect order.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -29,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from operator import mul
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from .distributions import _TINY, _draw_halfline, sample_scaled_inv_chi2
 from .model import (
@@ -63,15 +75,44 @@ class PriorVarianceError(RuntimeError):
     1/v would overflow."""
 
 
+@functools.lru_cache(maxsize=16)
+def _groups_of(key: bytes):
+    orders = np.frombuffer(key, dtype=int)
+    levels, inv = np.unique(orders, return_inverse=True)
+    inv.setflags(write=False)               # shared by every caller
+    return tuple(levels.tolist()), inv, float(orders.astype(float).sum())
+
+
+def _order_groups(orders: EffectOrders):
+    """The distinct effect orders k as ints, each column's index into them, and
+    the sum of all orders; cached per orders array, which a chain never changes."""
+    return _groups_of(orders.orders.tobytes())
+
+
+def _order_sums(beta, orders: EffectOrders):
+    """[(k, S_k)] for each distinct effect order k, S_k the sum of beta_j^2
+    over the columns j of order k: all the hyper moves read of beta."""
+    levels, inv, _ = _order_groups(orders)
+    beta = np.asarray(beta, dtype=float)
+    return list(zip(levels, np.bincount(inv, weights=beta * beta, minlength=len(levels)).tolist()))
+
+
+def _order_quad(sums, r: float) -> float:
+    """sum_j beta_j^2 / r^{o_j} from the per-order sums; r^k may underflow to 0
+    (ZeroDivisionError) only where tau^2 r^k is no valid prior variance."""
+    return sum(s / r ** k for k, s in sums)
+
+
 def _prior_variances(orders: EffectOrders, hyper: HyperState):
     """Prior variance diagonals v1, v2 of beta1 and beta2, checked before the
     beta full conditional forms the precision 1/v from them."""
+    levels, inv, _ = _order_groups(orders)
     out = []
     for block, tau_sq, r in (("beta1", hyper.tau1_sq, hyper.r1), ("beta2", hyper.tau2_sq, hyper.r2)):
-        v = tau_sq * np.power(float(r), orders.orders.astype(float))
-        ok = (v >= _TINY) & (v < np.inf)       # False for nan as well
-        if not ok.all():
-            j = int(np.argmin(ok))
+        per_order = [tau_sq * r ** k for k in levels]
+        v = np.array(per_order)[inv]
+        if not all(_TINY <= x < math.inf for x in per_order):     # False for nan as well
+            j = int(np.argmin((v >= _TINY) & (v < np.inf)))
             raise PriorVarianceError(
                 f"prior variance of {block}_{j + 1} (effect order {orders.orders[j]}) is "
                 f"tau^2 * r^order = {float(v[j])!r} at tau^2 = {tau_sq:.6g}, r = {r:.6g}; "
@@ -82,11 +123,12 @@ def _prior_variances(orders: EffectOrders, hyper: HyperState):
 
 @dataclass
 class FullConditionalBeta:
-    """Full conditional N(mu_beta, sigma_beta) of the stacked (beta1, beta2)."""
+    """Full conditional N(mu_beta, L^-T L^-1) of the stacked (beta1, beta2),
+    L the lower Cholesky factor of its precision."""
 
     mu_beta: np.ndarray
-    sigma_beta: np.ndarray
-    chol_inv: np.ndarray        # inverse of the precision's lower Cholesky factor
+    chol_inv: np.ndarray        # L^-1, lower triangular
+    sweep_kernel: np.ndarray    # E' Sigma_beta E, E = [I; -(rho/sigma) I]: the u-sweep's p x p kernel
     precision: np.ndarray       # cached for the degenerate-downdate fallback
 
 
@@ -100,8 +142,9 @@ class SamplerWorkspace:
     gram: np.ndarray            # X'X
     xty: np.ndarray             # X'y
     xtu: np.ndarray             # X'u, maintained incrementally during sweeps
-    eta: np.ndarray             # u - X beta1
-    phi: np.ndarray             # y - X beta2
+    eta: np.ndarray = field(init=False)     # u - X beta1
+    phi: np.ndarray = field(init=False)     # y - X beta2
+    quads: tuple = field(init=False)        # _residual_quads(eta, phi)
     loo_fallbacks: int = 0
 
     @classmethod
@@ -109,20 +152,23 @@ class SamplerWorkspace:
         X, y = data.X, data.y
         with np.errstate(over="ignore", invalid="ignore"):   # _check_conditioning names it
             gram = X.T @ X
-        return cls(
-            X=X,
-            y=y,
-            z=data.z,
-            gram=gram,
-            xty=X.T @ y,
-            xtu=X.T @ state.u,
-            eta=state.u - X @ state.beta1,
-            phi=y - X @ state.beta2,
-        )
+        ws = cls(X=X, y=y, z=data.z, gram=gram, xty=X.T @ y, xtu=X.T @ state.u)
+        ws.refresh_residuals(state)
+        return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
         self.eta = state.u - self.X @ state.beta1
         self.phi = self.y - self.X @ state.beta2
+        self.quads = _residual_quads(self.eta, self.phi)
+
+
+def _residual_quads(eta, phi):
+    """(eta'eta, eta'phi_s, phi_s'phi_s, k), all the sigma^2 and rho targets
+    read of the residuals: phi_s = 2^-k phi exactly, k the binary exponent of
+    max|phi|, so |phi_s| <= 1 and no product overflows where phi'phi would."""
+    k = math.frexp(float(np.abs(phi).max()))[1]
+    phi_s = np.ldexp(phi, -k)
+    return float(eta @ eta), float(eta @ phi_s), float(phi_s @ phi_s), k
 
 
 def _statistic(ws: SamplerWorkspace, sigma2: float, rho: float) -> np.ndarray:
@@ -176,35 +222,40 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     A[:p, p:] = k12 * ws.gram
     A[p:, :p] = A[:p, p:].T
 
-    try:
-        L = np.linalg.cholesky(A)
+    L, info = lapack.dpotrf(A, lower=1)
+    try:        # a refusal carries the failed factorization as its context
+        if info:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
     except np.linalg.LinAlgError:
         _check_conditioning(A)
         raise
     # The inverse of a nearly singular A may overflow without a warning, and
-    # the factor of an overflowed A holds nan (hence check_finite=False); the
-    # bound is then not finite and the eigenvalue test below decides.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Linv = sla.solve_triangular(L, np.eye(2 * p), lower=True, check_finite=False)
-        sigma_beta = Linv.T @ Linv
+    # the factor of an overflowed A holds nan; the bound is then not finite
+    # and the eigenvalue test below decides.
+    Linv, _ = lapack.dtrtri(L, lower=1)
+    with np.errstate(over="ignore", invalid="ignore"):
         # The scaled precision A_s and its inverse are SPD with tr(A_s) = 2p,
-        # so cond(A_s) <= tr(A_s) tr(A_s^-1) = 2p sum_i A_ii (A^-1)_ii. Where
-        # that bound is well inside _COND_LIMIT the eigenvalue test must
-        # accept too; the factor 1/2 keeps rounding in the bound and in
-        # eigvalsh from flipping a verdict at the limit.
-        bound = 2 * p * float(np.dot(np.diag(A), np.diag(sigma_beta)))
+        # so cond(A_s) <= tr(A_s) tr(A_s^-1) = 2p sum_i A_ii (A^-1)_ii, and
+        # (A^-1)_ii is the squared norm of column i of L^-1. Where that bound
+        # is well inside _COND_LIMIT the eigenvalue test must accept too; the
+        # factor 1/2 keeps rounding in the bound and in eigvalsh from flipping
+        # a verdict at the limit.
+        bound = 2 * p * float(np.dot(np.diag(A), np.einsum("ij,ij->j", Linv, Linv)))
     if not bound <= 0.5 * _COND_LIMIT:       # also where bound is nan
         _check_conditioning(A)
-    sigma_beta = 0.5 * (sigma_beta + sigma_beta.T)
 
-    t = _statistic(ws, sigma2, rho)
-    mu_beta = sigma_beta @ t
+    W = Linv[:, :p] - (rho / s) * Linv[:, p:]          # L^-1 E
     return FullConditionalBeta(
-        mu_beta=mu_beta,
-        sigma_beta=sigma_beta,
+        mu_beta=_beta_mean(Linv, _statistic(ws, sigma2, rho)),
         chol_inv=Linv,
+        sweep_kernel=W.T @ W,
         precision=A,
     )
+
+
+def _beta_mean(chol_inv, t):
+    """Sigma_beta t as L^-T (L^-1 t)."""
+    return chol_inv.T @ (chol_inv @ t)
 
 
 def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
@@ -221,7 +272,8 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
     g = sum_{j<i} delta_j x_j. So b_i' Sigma_beta t = a_i + c R_i g with
     a = X E' mu_beta, read off fc's mean Sigma_beta t0, and
-    R = X E' Sigma_beta E, formed once per sweep. So fc must be the full
+    R = X E' Sigma_beta E, formed once per sweep from fc's p x p
+    E' Sigma_beta E. So fc must be the full
     conditional at the u whose X'u ws.xtu holds; ws.xtu keeps that value
     until the sweep ends, and the fallback rebuilds t0 from it. With
     d_i = R_i x_i and q_i = 1/(1 - c d_i) (0 on fallback rows), the closed form
@@ -245,8 +297,7 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
 
-    S = fc.sigma_beta[:p] - w * fc.sigma_beta[p:]     # E' Sigma_beta
-    R = X @ (S[:, :p] - w * S[:, p:])
+    R = X @ fc.sweep_kernel
     d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
     denom = 1.0 - c * d
     q = np.zeros(n)                                   # 1/denom, 0 on fallback rows
@@ -307,11 +358,6 @@ def sample_beta(fc: FullConditionalBeta, gen: np.random.Generator):
     return draw[:p], draw[p:]
 
 
-def _cross_quad(eta, phi, sigma2, rho) -> float:
-    s = math.sqrt(sigma2)
-    return float(np.sum(sigma2 * eta * eta - (2.0 * rho * s) * phi * eta + phi * phi))
-
-
 def _rw_mh(cur, to_free, from_free, log_target, step, gen):
     """One random-walk Metropolis step for a scalar, taken on the free scale
     to_free(x) with a N(0, step^2) increment.
@@ -319,28 +365,36 @@ def _rw_mh(cur, to_free, from_free, log_target, step, gen):
     log_target(x) is the log density of x plus the log Jacobian of from_free.
     A proposal whose log target is -inf is rejected: the log ratio is then
     -inf and log u never falls below it; so is one that overflows (math.exp
-    beyond the float range), after drawing the same two variates.
+    beyond the float range) or divides by a power r^k that underflows to 0,
+    after drawing the same two variates.
     """
     try:
         prop = from_free(to_free(cur) + step * gen.standard_normal())
         log_ratio = log_target(prop) - log_target(cur)
-    except OverflowError:
+    except ArithmeticError:
         prop, log_ratio = cur, -math.inf
     if math.log(max(gen.random(), 1e-300)) < log_ratio:
         return prop, True
     return cur, False
 
 
-def _log_sigma2_target(sigma2, eta, phi, rho, n, prior: PriorConfig) -> float:
+def _scaled_bracket(quads, sigma2, rho) -> float:
+    """(eta'eta - 2 rho eta'phi / sigma + phi'phi / sigma^2) / (1 - rho^2)
+    from _residual_quads, with 2^k / sigma applied to the scaled phi."""
+    ee, ep, pp, k = quads
+    h = math.ldexp(1.0 / math.sqrt(sigma2), k)         # 2^k / sigma
+    return (ee - 2.0 * rho * h * ep + h * (h * pp)) / (1.0 - rho * rho)
+
+
+def _log_sigma2_target(sigma2, quads, rho, n, prior: PriorConfig) -> float:
     """Log conditional of sigma^2 plus log sigma^2, the log Jacobian of exp.
 
     At rho = 0 the latent residuals enter only as the constant -eta'eta/2,
     which cancels in an MH ratio, so the rho-pinned chain runs this target too.
     """
     nu0 = prior.sigma2_prior_dof
-    bracket = _cross_quad(eta, phi, sigma2, rho) / (1.0 - rho * rho) \
-        + nu0 * prior.sigma2_prior_scale
-    return -0.5 * (n + nu0) * math.log(sigma2) - bracket / (2.0 * sigma2)
+    return -0.5 * (n + nu0) * math.log(sigma2) \
+        - 0.5 * (_scaled_bracket(quads, sigma2, rho) + nu0 * prior.sigma2_prior_scale / sigma2)
 
 
 def sample_sigma2_mh(state: ParameterState, ws: SamplerWorkspace, prior: PriorConfig,
@@ -348,18 +402,17 @@ def sample_sigma2_mh(state: ParameterState, ws: SamplerWorkspace, prior: PriorCo
     """Random-walk MH on log sigma^2."""
     n = ws.y.shape[0]
     return _rw_mh(state.sigma2, math.log, math.exp,
-                  lambda s2: _log_sigma2_target(s2, ws.eta, ws.phi, state.rho, n, prior),
+                  lambda s2: _log_sigma2_target(s2, ws.quads, state.rho, n, prior),
                   step, gen)
 
 
-def _log_rho_target(rho, eta, phi, sigma2, n) -> float:
+def _log_rho_target(rho, quads, sigma2, n) -> float:
     """Log conditional of rho (flat prior on (-1, 1)) plus log(1 - rho^2), the
     log Jacobian of tanh; -inf where tanh has rounded rho to +-1."""
     one_m = 1.0 - rho * rho
     if one_m <= 0.0:
         return -math.inf
-    return (1.0 - 0.5 * n) * math.log(one_m) \
-        - _cross_quad(eta, phi, sigma2, rho) / (2.0 * sigma2 * one_m)
+    return (1.0 - 0.5 * n) * math.log(one_m) - 0.5 * _scaled_bracket(quads, sigma2, rho)
 
 
 def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float,
@@ -367,27 +420,24 @@ def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float,
     """Random-walk MH on atanh(rho)."""
     n = ws.y.shape[0]
     return _rw_mh(state.rho, math.atanh, math.tanh,
-                  lambda rho: _log_rho_target(rho, ws.eta, ws.phi, state.sigma2, n),
+                  lambda rho: _log_rho_target(rho, ws.quads, state.sigma2, n),
                   step, gen)
 
 
 def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig,
                 gen: np.random.Generator) -> float:
     """Conjugate scaled-inv-chi^2 draw for one prior variance tau_k^2."""
-    beta_k = np.asarray(beta_k, dtype=float)
-    rpow = np.power(float(r_k), orders.orders.astype(float))
-    quad = float(np.sum(beta_k * beta_k / rpow))
-    p = beta_k.shape[0]
-    dof = prior.nu + p
-    scale = (quad + prior.nu * prior.delta_sq) / dof
+    dof = prior.nu + len(beta_k)
+    scale = (_order_quad(_order_sums(beta_k, orders), float(r_k)) + prior.nu * prior.delta_sq) / dof
     return float(sample_scaled_inv_chi2(dof, scale, gen))
 
 
-def _log_r_target(r, beta_sq, orders_f, tau_sq, a, b) -> float:
-    """Log conditional of r plus log r(1 - r), the log Jacobian of the inverse logit."""
+def _log_r_target(r, sums, order_sum, tau_sq, a, b) -> float:
+    """Log conditional of r plus log r(1 - r), the log Jacobian of the inverse
+    logit, from the per-order sums of _order_sums and the sum of all orders."""
     return (
-        (a - 0.5 * float(orders_f.sum())) * math.log(r) + b * math.log1p(-r)
-        - float(np.sum(beta_sq * np.power(r, -orders_f))) / (2.0 * tau_sq)
+        (a - 0.5 * order_sum) * math.log(r) + b * math.log1p(-r)
+        - _order_quad(sums, r) / (2.0 * tau_sq)
     )
 
 
@@ -399,13 +449,13 @@ def _expit_clamped(x: float) -> float:
 def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
                 step: float, gen: np.random.Generator, current: float):
     """Random-walk MH on logit(r) for one shrinkage decay parameter."""
-    beta_sq = np.asarray(beta_k, dtype=float) ** 2
-    orders_f = orders.orders.astype(float)
+    sums = _order_sums(beta_k, orders)
+    order_sum = _order_groups(orders)[2]
     cur = float(current)
     if not 0.0 < cur < 1.0:
         raise ValueError("current r must lie in (0, 1)")
     return _rw_mh(cur, lambda r: math.log(r) - math.log1p(-r), _expit_clamped,
-                  lambda r: _log_r_target(r, beta_sq, orders_f, tau_sq_k, prior.a, prior.b),
+                  lambda r: _log_r_target(r, sums, order_sum, tau_sq_k, prior.a, prior.b),
                   step, gen)
 
 
@@ -499,7 +549,7 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
         raise RuntimeError("incremental X'u statistic drifted")
     ws.xtu = xtu_ref
-    fc.mu_beta = fc.sigma_beta @ _statistic(ws, state.sigma2, state.rho)
+    fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
     toc = time.perf_counter()
     timings["u_sweep"] += sweep_toc - sweep_tic
     timings["beta_fc"] += (sweep_tic - tic) + (toc - sweep_toc)

@@ -8,7 +8,8 @@ blocks fixed for the oracles that need part of the posterior conditioned on.
 dense_predict is the all-rows prediction formula the row-blocked
 predict_draws must reproduce, and scaled_condition the eigenvalue test of the
 beta precision whose verdicts compute_beta_full_conditional must keep.
-halfline_draws takes many draws of the sweep's own half-line sampler.
+halfline_draws takes many draws of the sweep's own half-line sampler, and
+cross_quad is the residual form the sigma^2 and rho targets must reproduce.
 """
 import numpy as np
 from scipy import integrate, special, stats
@@ -41,6 +42,14 @@ def dense_full_conditional(X, y, u, sigma2, rho, v1, v2):
     sigma_beta = np.linalg.inv(A)
     mu_beta = sigma_beta @ Xfull.T @ Sinv @ np.concatenate([u, y])
     return mu_beta, sigma_beta
+
+
+def cross_quad(eta, phi, sigma2, rho):
+    """sigma^2 eta'eta - 2 rho sigma eta'phi + phi'phi, the vector expression
+    the sigma^2 and rho targets evaluated on every call before they read the
+    workspace's scalar products."""
+    s = np.sqrt(sigma2)
+    return float(np.sum(sigma2 * eta * eta - (2.0 * rho * s) * phi * eta + phi * phi))
 
 
 def dense_loo_conditional(X, y, u, sigma2, rho, v1, v2, i):

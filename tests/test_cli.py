@@ -441,20 +441,22 @@ def test_degenerate_data(tmp_path, case):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sigma2_near_float_max(tmp_path, n):
-    # at y ~ 1e153 on a few rows sigma2 starts near 1e306, and a log-scale
-    # proposal beyond the float range must be rejected, not raise out of main;
-    # the overflow warnings _cross_quad prints on the way are not checked here
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((n, 2))
-    y = (X[:, 0] - X[:, 1] + rng.standard_normal(n)) * 1e153
-    z = (X[:, 0] + rng.standard_normal(n) > 0).astype(int)
-    data = tmp_path / "data.csv"
-    data.write_text("x1,x2,y,z\n" + "".join(f"{a!r},{b!r},{c!r},{d}\n" for (a, b), c, d
-                                            in zip(X.tolist(), y.tolist(), z.tolist())))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = run(["fit", "--data", data, "--out-dir", tmp_path / "o", *FAST])
-    assert code in (0, 2, 3)
+    # at y ~ 1e153-1e154 on a few rows sigma2 starts near 1e306-1e308: the
+    # sigma^2 and rho targets, the summary's mean and the histograms must stay
+    # finite, so fit exits 0 and no RuntimeWarning is raised on the way; at
+    # 4 rows and y ~ 1e154 the start's residual variance overflows (exit 3)
+    for scale in (1e153, 1e154):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((n, 2))
+        y = (X[:, 0] - X[:, 1] + rng.standard_normal(n)) * scale
+        z = (X[:, 0] + rng.standard_normal(n) > 0).astype(int)
+        data = tmp_path / f"data{scale:.0e}.csv"
+        data.write_text("x1,x2,y,z\n" + "".join(f"{a!r},{b!r},{c!r},{d}\n" for (a, b), c, d
+                                                in zip(X.tolist(), y.tolist(), z.tolist())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["fit", "--data", data, "--out-dir", tmp_path / f"o{scale:.0e}", *FAST])
+        assert code == (3 if (n, scale) == (4, 1e154) else 0)
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,27 @@ def test_histogram_counts(tmp_path):
     assert lines[0] == "bin_left,bin_right,count"
     counts = [int(l.split(",")[2]) for l in lines[1:]]
     assert sum(counts) == 1000 and len(counts) == 30
+    # numpy's own edges wherever numpy can bin the column
+    edges = np.histogram(draws, bins=30)[1]
+    assert [l.split(",")[0] for l in lines[1:]] == [repr(float(v)) for v in edges[:-1]]
+
+
+@pytest.mark.parametrize("draws", [np.full(200, 3.9e307), np.full(5, -1.7976931348623157e308),
+                                   np.array([-1e308, 0.0, 1e308]), np.array([1e16, 1e16 + 2.0])],
+                         ids=["constant-3.9e307", "constant-min", "span-overflows", "span-below-bins"])
+def test_histogram_beyond_numpy_range(tmp_path, draws):
+    # a constant beyond 2^53 (numpy's +-0.5 vanishes) or a span that overflows
+    # still gets 30 finite, strictly increasing bins that hold every draw
+    path = tmp_path / "hist.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bio.write_histogram_csv(path, draws, bins=30)
+    rows = [l.split(",") for l in path.read_text().strip().split("\n")[1:]]
+    left, right = (np.array([float(r[k]) for r in rows]) for k in (0, 1))
+    assert len(rows) == 30 and sum(int(r[2]) for r in rows) == draws.size
+    assert np.isfinite(left).all() and np.isfinite(right).all()
+    assert (left < right).all() and np.array_equal(left[1:], right[:-1])
+    assert left[0] <= draws.min() and draws.max() <= right[-1]
 
 
 def test_predictions_file_with_losses(tmp_path):

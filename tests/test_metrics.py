@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -146,3 +148,17 @@ def test_scaling_by_a_power_of_two_is_exact(k):
     draws = np.column_stack([chain, -2.0 * chain])
     sd = summarize_draws(draws, ["a", "b"]).sd
     assert np.array_equal(summarize_draws(np.ldexp(draws, k), ["a", "b"]).sd, np.ldexp(sd, k))
+
+
+def test_mean_near_float_max_is_finite():
+    # the mean is taken on the same power-of-two-scaled draws as the sd: a
+    # column near 1e307 sums past the float range unscaled, and a column of
+    # ordinary values keeps numpy's mean bit for bit
+    rng = np.random.default_rng(9)
+    ordinary = 3.0 + rng.standard_normal(400)
+    draws = np.column_stack([np.linspace(1.0e307, 1.7e307, 400), ordinary, 0.1 * ordinary])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = summarize_draws(draws, ["big", "a", "b"])
+    assert summary.mean[0] == pytest.approx(1.35e307, rel=1e-12)
+    assert np.array_equal(summary.mean[1:], draws[:, 1:].mean(axis=0))

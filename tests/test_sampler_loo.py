@@ -44,7 +44,10 @@ def test_full_conditional_matches_dense(seed, n, p):
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
     assert np.allclose(fc.mu_beta, mu_d, rtol=1e-10, atol=1e-12)
-    assert np.allclose(fc.sigma_beta, sig_d, rtol=1e-9, atol=1e-12)
+    assert np.allclose(fc.chol_inv.T @ fc.chol_inv, sig_d, rtol=1e-9, atol=1e-12)
+    # the u-sweep's p x p kernel E' Sigma_beta E, E = [I; -(rho/sigma) I]
+    E = np.vstack([np.eye(p), -(rho / np.sqrt(sigma2)) * np.eye(p)])
+    assert np.allclose(fc.sweep_kernel, E.T @ sig_d @ E, rtol=1e-9, atol=1e-12)
 
 
 def test_full_conditional_rejects_bad_args():
@@ -171,7 +174,7 @@ def test_loo_moments_mixed_fallback_rows(seed):
 def _denominators(X, fc, sigma2, rho):
     """1 - c b_i' Sigma_beta b_i, the closed form's denominator for every row."""
     b = np.hstack([X, -(rho / np.sqrt(sigma2)) * X])
-    return 1.0 - np.einsum("ij,jk,ik->i", b, fc.sigma_beta, b) / (1.0 - rho * rho)
+    return 1.0 - np.einsum("ij,jk,ik->i", b, fc.chol_inv.T @ fc.chol_inv, b) / (1.0 - rho * rho)
 
 
 def _check_moving_sweep(X, y, u, z, sigma2, rho, v1, v2, ws, state, fc, floor, fallbacks):
@@ -263,7 +266,7 @@ def test_full_conditional_tiny_prior_variance():
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
     assert np.allclose(fc.mu_beta, mu_d, rtol=1e-8, atol=1e-14)
-    assert np.allclose(fc.sigma_beta, sig_d, rtol=1e-8, atol=1e-20)
+    assert np.allclose(fc.chol_inv.T @ fc.chol_inv, sig_d, rtol=1e-8, atol=1e-20)
 
 
 def test_sweep_fallback_branch_runs(monkeypatch):
@@ -284,4 +287,4 @@ def test_sample_beta_mean_and_covariance():
     rng = np.random.default_rng(51)
     draws = np.array([np.concatenate(sample_beta(fc, rng)) for _ in range(40_000)])
     assert np.allclose(draws.mean(axis=0), fc.mu_beta, atol=0.01)
-    assert np.allclose(np.cov(draws.T), fc.sigma_beta, atol=0.01)
+    assert np.allclose(np.cov(draws.T), fc.chol_inv.T @ fc.chol_inv, atol=0.01)

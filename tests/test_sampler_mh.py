@@ -2,14 +2,22 @@
 posteriors computed from independently written densities."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from blqq.model import Dataset, EffectOrders, HyperState, ParameterState, PriorConfig
 from blqq.sampler import (
     SamplerWorkspace,
+    _log_r_target,
+    _log_rho_target,
+    _log_sigma2_target,
+    _order_groups,
+    _order_sums,
     _prior_variances,
+    _residual_quads,
     sample_r_mh,
     sample_rho_mh,
     sample_sigma2_mh,
@@ -56,7 +64,8 @@ def test_sigma2_separate_target_ignores_latent_residuals():
     chains = []
     for bump in (0.0, 5.0):
         state, ws = fixed_residual_setup(rho=0.0)
-        ws.eta = ws.eta + bump
+        state.u = state.u + bump        # eta = u - X beta1 with beta1 = 0
+        ws.refresh_residuals(state)
         rng = np.random.default_rng(2)
         vals = []
         for _ in range(200):
@@ -221,3 +230,87 @@ def test_sigma2_proposal_beyond_float_range_is_rejected():
         ref.random()
         assert rng.random() == ref.random()
     assert overflowed >= 5
+
+
+def _old_sigma2_target(sigma2, eta, phi, rho, prior):
+    nu0 = prior.sigma2_prior_dof
+    bracket = oracles.cross_quad(eta, phi, sigma2, rho) / (1.0 - rho * rho) \
+        + nu0 * prior.sigma2_prior_scale
+    return -0.5 * (eta.shape[0] + nu0) * math.log(sigma2) - bracket / (2.0 * sigma2)
+
+
+def _old_rho_target(rho, eta, phi, sigma2):
+    one_m = 1.0 - rho * rho
+    return (1.0 - 0.5 * eta.shape[0]) * math.log(one_m) \
+        - oracles.cross_quad(eta, phi, sigma2, rho) / (2.0 * sigma2 * one_m)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scalar_targets_match_vector_form(seed):
+    # the targets read eta'eta, eta'phi and phi'phi once per refresh; they
+    # must equal the vector form the targets used to evaluate on every call
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    eta = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+    phi = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    quads = _residual_quads(eta, phi)
+    prior = PriorConfig()
+    for sigma2, rho in zip(10.0 ** rng.uniform(-4, 4, 10), rng.uniform(-0.99, 0.99, 10)):
+        assert _log_sigma2_target(sigma2, quads, rho, n, prior) == pytest.approx(
+            _old_sigma2_target(sigma2, eta, phi, rho, prior), rel=1e-11)
+        assert _log_rho_target(rho, quads, sigma2, n) == pytest.approx(
+            _old_rho_target(rho, eta, phi, sigma2), rel=1e-11)
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e154])
+def test_scalar_targets_near_float_max(scale):
+    # at sigma2 ~ 1e306 and phi ~ 1e153, sigma2 eta'eta overflows, and at
+    # phi ~ 1e154 phi'phi does too, while the targets are finite: compare
+    # with 50-digit arithmetic
+    rng = np.random.default_rng(12)
+    eta = 3.0 + rng.standard_normal(4)
+    phi = scale * np.array([1.7, -0.4, 1.1, -1.5])
+    prior = PriorConfig()
+    with np.errstate(over="raise"):
+        quads = _residual_quads(eta, phi)
+    with mpmath.workdps(50):
+        e, f = [mpmath.mpf(v) for v in eta], [mpmath.mpf(v) for v in phi]
+        for sigma2, rho in ((1e306, 0.3), (3.7e306, -0.8), (1e306, 0.0), (1e308, 0.5)):
+            s2, r = mpmath.mpf(sigma2), mpmath.mpf(rho)
+            quad = sum(s2 * a * a - 2 * r * mpmath.sqrt(s2) * a * b + b * b for a, b in zip(e, f))
+            nu0, s0 = mpmath.mpf(prior.sigma2_prior_dof), mpmath.mpf(prior.sigma2_prior_scale)
+            exact_s2 = -(4 + nu0) / 2 * mpmath.log(s2) - (quad / (1 - r * r) + nu0 * s0) / (2 * s2)
+            exact_rho = (1 - mpmath.mpf(4) / 2) * mpmath.log(1 - r * r) - quad / (2 * s2 * (1 - r * r))
+            assert _log_sigma2_target(sigma2, quads, rho, 4, prior) == pytest.approx(
+                float(exact_s2), rel=1e-12)
+            assert _log_rho_target(rho, quads, sigma2, 4) == pytest.approx(
+                float(exact_rho), rel=1e-12)
+
+
+def test_order_sums_match_power_forms():
+    # the tau^2 draw, the r target and the prior variances read beta only
+    # through one sum of squares per distinct order; at unequal orders they
+    # must match the per-coefficient np.power forms they replace
+    beta = np.array([0.7, -1.3, 0.4, 2.1, -0.05])
+    orders = np.array([0, 1, 2, 2, 3])
+    eff = EffectOrders(orders)
+    r, tau_sq, prior = 0.37, 0.8, PriorConfig(a=1.5, b=0.7)
+    levels, sums = zip(*_order_sums(beta, eff))
+    sq = beta * beta
+    assert levels == (0, 1, 2, 3)
+    np.testing.assert_allclose(sums, [sq[0], sq[1], sq[2] + sq[3], sq[4]], rtol=1e-15)
+    rpow = np.power(r, orders.astype(float))
+    quad = float(np.sum(beta * beta / rpow))
+    dof = prior.nu + beta.shape[0]
+    q = np.random.default_rng(13).chisquare(dof)
+    assert sample_tau2(beta, eff, r, prior, np.random.default_rng(13)) == pytest.approx(
+        (quad + prior.nu * prior.delta_sq) / q, rel=1e-14)
+    order_sum = _order_groups(eff)[2]
+    assert order_sum == 8.0
+    old_r = ((prior.a - 0.5 * float(orders.sum())) * math.log(r) + prior.b * math.log1p(-r)
+             - float(np.sum(beta * beta * np.power(r, -orders.astype(float)))) / (2.0 * tau_sq))
+    assert _log_r_target(r, _order_sums(beta, eff), order_sum, tau_sq, prior.a, prior.b) \
+        == pytest.approx(old_r, rel=1e-14)
+    v1, v2 = _prior_variances(eff, HyperState(tau1_sq=tau_sq, tau2_sq=2.0, r1=r, r2=0.9))
+    np.testing.assert_allclose(v1, tau_sq * rpow, rtol=1e-15)
+    np.testing.assert_allclose(v2, 2.0 * np.power(0.9, orders.astype(float)), rtol=1e-15)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-r"""Write the fixed-seed output file set of a blqq checkout, or compare two.
+"""Write the fixed-seed output file set of a blqq checkout, or compare two.
 
     python3 scripts/output_set.py <checkout> <out_dir>
     python3 scripts/output_set.py --compare <before_dir> <after_dir>
@@ -28,20 +28,6 @@ included. It exits 1 when the file sets or a file's line counts differ, or
 when a cell differs that must match exactly: text, an integer (a count or a
 z_hat; floats are always written with a '.' or an exponent), or a float that
 is not finite.
-
-A change that only drops or adds `#` provenance lines is compared with those
-lines ignored; for the MH settings no longer written since the step sizes
-became a constant:
-
-    diff -r -I '^#\(mh_step_\(sigma2\|rho\|r\)\|adapt_during_burnin\): ' before after
-
-and for the hyper start values no longer written since they became a constant:
-
-    diff -r -I '^#init_\(tau1_sq\|tau2_sq\|r1\|r2\): ' before after
-
-and for the duplicate `#rho_true` line no longer written to the truth files:
-
-    diff -r -I '^#rho_true: ' before after
 """
 import math
 import os

@@ -36,6 +36,7 @@ GRID_PS = (10, 30)
 GRID_SPARSITIES = (0.2, 0.5)
 
 LOSS_FIELDS = ("rmse", "me", "fsl", "l2_beta1", "l2_beta2", "rho_hat")
+_MAX_ACF_LAG = 50      # acf lags written to diagnostics.csv, fewer for a short chain
 
 
 def _setting_name(rho, p, s) -> str:
@@ -102,13 +103,13 @@ def evaluate_fit(chain, test: Dataset, beta1_true, beta2_true) -> LossReport:
     )
 
 
-def _write_fit_outputs(out_dir, chain, meta, max_acf_lag=50):
+def _write_fit_outputs(out_dir, chain, meta):
     os.makedirs(out_dir, exist_ok=True)
     bio.write_chain_csv(os.path.join(out_dir, "chain.csv"), chain, meta=meta)
     summary = summarize_draws(chain.draws, chain.names)
     bio.write_summary_csv(os.path.join(out_dir, "summary.csv"), summary, meta=meta)
 
-    lag = min(max_acf_lag, max(1, chain.n_stored // 2 - 1))
+    lag = min(_MAX_ACF_LAG, max(1, chain.n_stored // 2 - 1))
     acf_table = {}
     ess = {}
     for name, col in zip(chain.names, chain.draws.T):

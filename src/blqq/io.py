@@ -289,28 +289,33 @@ def write_diagnostics_csv(path, acceptance, steps, loo_fallbacks, ess, acf_table
     _write_table(path, ["record", "name", "lag", "value"], rows, meta=meta)
 
 
-def _histogram_edges(x: np.ndarray, bins: int) -> np.ndarray:
-    """np.histogram's own edges, `bins` equal bins over [min, max] (+-0.5 about
-    a constant column), where those are finite and strictly increasing. Else,
-    where +-0.5 is below the spacing of the floats (a constant beyond 2^53) or
-    max - min overflows, `bins` equal bins over the span about its midpoint,
-    widened to two floats' spacing per bin and kept inside the float range."""
+_HIST_BINS = 30
+
+
+def _histogram_edges(x: np.ndarray) -> np.ndarray:
+    """np.histogram's own edges, _HIST_BINS equal bins over [min, max] (+-0.5
+    about a constant column), where those are finite and strictly increasing.
+    Else, where +-0.5 is below the spacing of the floats (a constant beyond
+    2^53) or max - min overflows, _HIST_BINS equal bins over the span about its
+    midpoint, widened to two floats' spacing per bin and kept inside the float
+    range."""
     lo, hi = float(x.min()), float(x.max())
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.linspace(lo, hi, bins + 1) if lo < hi else np.linspace(lo - 0.5, hi + 0.5, bins + 1)
+        edges = np.linspace(lo, hi, _HIST_BINS + 1) if lo < hi else \
+            np.linspace(lo - 0.5, hi + 0.5, _HIST_BINS + 1)
     if np.isfinite(edges).all() and (edges[1:] > edges[:-1]).all():
         return edges
-    half = max(hi / 2 - lo / 2, bins * math.ulp(lo / 2 + hi / 2))
+    half = max(hi / 2 - lo / 2, _HIST_BINS * math.ulp(lo / 2 + hi / 2))
     big = sys.float_info.max
     mid = min(max(lo / 2 + hi / 2, half - big), big - half)
-    edges = mid + half * np.linspace(-1.0, 1.0, bins + 1)
+    edges = mid + half * np.linspace(-1.0, 1.0, _HIST_BINS + 1)
     edges[0], edges[-1] = min(edges[0], lo), max(edges[-1], hi)
     return edges
 
 
-def write_histogram_csv(path, draws, bins: int = 30, meta=None):
+def write_histogram_csv(path, draws, meta=None):
     draws = np.asarray(draws, dtype=float)
-    counts, edges = np.histogram(draws, bins=_histogram_edges(draws, bins))
+    counts, edges = np.histogram(draws, bins=_histogram_edges(draws))
     _write_table(path, ["bin_left", "bin_right", "count"],
                  ([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))]
                   for k in range(counts.shape[0])), meta=meta)

@@ -7,7 +7,7 @@ a latent Gaussian U: z = 1 iff u >= 0, with (U, Y) bivariate normal given x
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -80,14 +80,22 @@ class ParameterState:
 
 @dataclass
 class EffectOrders:
-    """Polynomial order of each model column (0 intercept, 1 linear, ...)."""
+    """Polynomial order of each model column (0 intercept, 1 linear, ...),
+    with what the hyper moves read of them: the distinct orders as ints,
+    each column's index into them, and the sum of all orders."""
 
     orders: np.ndarray
+    levels: tuple = field(init=False)
+    group: np.ndarray = field(init=False)
+    order_sum: float = field(init=False)
 
     def __post_init__(self):
         self.orders = np.asarray(self.orders, dtype=int)
         if np.any(self.orders < 0):
             raise ValueError("effect orders must be nonnegative")
+        levels, self.group = np.unique(self.orders, return_inverse=True)
+        self.levels = tuple(levels.tolist())
+        self.order_sum = float(self.orders.astype(float).sum())
 
 
 @dataclass

@@ -33,10 +33,8 @@ only through one sum of squares per distinct effect order.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from operator import mul
 
@@ -75,26 +73,12 @@ class PriorVarianceError(RuntimeError):
     1/v would overflow."""
 
 
-@functools.lru_cache(maxsize=16)
-def _groups_of(key: bytes):
-    orders = np.frombuffer(key, dtype=int)
-    levels, inv = np.unique(orders, return_inverse=True)
-    inv.setflags(write=False)               # shared by every caller
-    return tuple(levels.tolist()), inv, float(orders.astype(float).sum())
-
-
-def _order_groups(orders: EffectOrders):
-    """The distinct effect orders k as ints, each column's index into them, and
-    the sum of all orders; cached per orders array, which a chain never changes."""
-    return _groups_of(orders.orders.tobytes())
-
-
 def _order_sums(beta, orders: EffectOrders):
     """[(k, S_k)] for each distinct effect order k, S_k the sum of beta_j^2
     over the columns j of order k: all the hyper moves read of beta."""
-    levels, inv, _ = _order_groups(orders)
     beta = np.asarray(beta, dtype=float)
-    return list(zip(levels, np.bincount(inv, weights=beta * beta, minlength=len(levels)).tolist()))
+    sums = np.bincount(orders.group, weights=beta * beta, minlength=len(orders.levels))
+    return list(zip(orders.levels, sums.tolist()))
 
 
 def _order_quad(sums, r: float) -> float:
@@ -106,11 +90,10 @@ def _order_quad(sums, r: float) -> float:
 def _prior_variances(orders: EffectOrders, hyper: HyperState):
     """Prior variance diagonals v1, v2 of beta1 and beta2, checked before the
     beta full conditional forms the precision 1/v from them."""
-    levels, inv, _ = _order_groups(orders)
     out = []
     for block, tau_sq, r in (("beta1", hyper.tau1_sq, hyper.r1), ("beta2", hyper.tau2_sq, hyper.r2)):
-        per_order = [tau_sq * r ** k for k in levels]
-        v = np.array(per_order)[inv]
+        per_order = [tau_sq * r ** k for k in orders.levels]
+        v = np.array(per_order)[orders.group]
         if not all(_TINY <= x < math.inf for x in per_order):     # False for nan as well
             j = int(np.argmin((v >= _TINY) & (v < np.inf)))
             raise PriorVarianceError(
@@ -162,12 +145,17 @@ class SamplerWorkspace:
         self.quads = _residual_quads(self.eta, self.phi)
 
 
+def _pow2_scaled(x):
+    """(2^-k x, k), k the binary exponent of max|x|: exact, and every
+    |2^-k x_i| <= 1, so no product of them overflows."""
+    k = math.frexp(float(np.abs(x).max()))[1]
+    return np.ldexp(x, -k), k
+
+
 def _residual_quads(eta, phi):
     """(eta'eta, eta'phi_s, phi_s'phi_s, k), all the sigma^2 and rho targets
-    read of the residuals: phi_s = 2^-k phi exactly, k the binary exponent of
-    max|phi|, so |phi_s| <= 1 and no product overflows where phi'phi would."""
-    k = math.frexp(float(np.abs(phi).max()))[1]
-    phi_s = np.ldexp(phi, -k)
+    read of the residuals, with phi_s, k = _pow2_scaled(phi)."""
+    phi_s, k = _pow2_scaled(phi)
     return float(eta @ eta), float(eta @ phi_s), float(phi_s @ phi_s), k
 
 
@@ -450,45 +438,38 @@ def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
                 step: float, gen: np.random.Generator, current: float):
     """Random-walk MH on logit(r) for one shrinkage decay parameter."""
     sums = _order_sums(beta_k, orders)
-    order_sum = _order_groups(orders)[2]
     cur = float(current)
     if not 0.0 < cur < 1.0:
         raise ValueError("current r must lie in (0, 1)")
     return _rw_mh(cur, lambda r: math.log(r) - math.log1p(-r), _expit_clamped,
-                  lambda r: _log_r_target(r, sums, order_sum, tau_sq_k, prior.a, prior.b),
+                  lambda r: _log_r_target(r, sums, orders.order_sum, tau_sq_k, prior.a, prior.b),
                   step, gen)
 
 
 def init_state(data: Dataset):
     """Initialization: one least-squares fit of X to [y, 2z - 1] for beta2 and
-    beta1 (ridge where X has rank below p), the residual variance for sigma^2,
-    sign-corrected link values for u, sample correlation for rho, and the
-    hypers at _INITIAL_HYPER. A start that is not finite (data whose squares
-    overflow) raises RuntimeError, as a numeric failure in a scan does; the
-    overflow and invalid-value warnings numpy would print on the way, from
-    here and corrcoef, are silenced, because that error names the failure."""
+    beta1 (the minimum-norm one where X has rank below p), the mean square
+    residual for sigma^2, sign-corrected link values for u, sample correlation
+    for rho (0 where u or y is constant), and the hypers at _INITIAL_HYPER.
+    The mean square is taken of the _pow2_scaled residuals and scaled back, so
+    it is inf only where it exceeds the float range itself. A start that is
+    not finite (data whose squares overflow) raises RuntimeError, as a numeric
+    failure in a scan does; the overflow and invalid-value warnings numpy
+    would print on the way, from here and corrcoef, are silenced, because that
+    error names the failure."""
     X, y, z = data.X, data.y, data.z
-    n, p = X.shape
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.column_stack((y, 2.0 * z - 1.0))
-        coef, _, rank, _ = np.linalg.lstsq(X, rhs, rcond=None)
-        if rank < p:
-            warnings.warn("X'X is singular; using ridge-regularized least squares",
-                          RuntimeWarning)
-            coef = np.linalg.solve(X.T @ X + 1e-6 * np.eye(p), X.T @ rhs)
+        coef = np.linalg.lstsq(X, np.column_stack((y, 2.0 * z - 1.0)), rcond=None)[0]
         beta2, beta1 = coef.T.copy()
         resid = y - X @ beta2
-        sigma2 = max(float(resid @ resid) / n, 1e-6)
+        scaled, k = _pow2_scaled(resid)
+        sigma2 = max(float(np.ldexp(scaled @ scaled / data.n, 2 * k)), 1e-6)
 
         xb = X @ beta1
         mag = np.maximum(np.abs(xb), 1e-3)
         u0 = np.where(z == 1, mag, -mag)
-
-        if np.std(u0) > 0 and np.std(y) > 0:
-            rho0 = float(np.corrcoef(u0, y)[0, 1])
-        else:
-            rho0 = 0.0
+        rho0 = float(np.nan_to_num(np.corrcoef(u0, y)[0, 1]))
     rho0 = min(max(rho0, -0.95), 0.95)
 
     start = {"beta1": beta1, "beta2": beta2, "sigma2": sigma2, "rho": rho0, "u": u0}

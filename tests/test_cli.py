@@ -420,43 +420,48 @@ def _degenerate_lines(case):
     "duplicate-columns", "n-2", "perfect-fit", "x-times-1e150", "x-times-1e-150",
     "y-times-1e150", "y-times-1e-150"])
 def test_degenerate_data(tmp_path, case):
-    # any file the parser accepts ends in exit 0, 2 or 3, never in an exception
-    # out of main; a fit that succeeds reports finite summaries, ESS and acf
-    # values, with no numpy overflow warning (sigma2 near 1e300 at y * 1e150)
+    # every one of these files fits: exit 0 with no RuntimeWarning on the way
+    # (a rank-deficient X starts at lstsq's minimum-norm solution, sigma2 near
+    # 1e300 at y * 1e150 stays finite), and finite summaries, ESS and acf values
     data = tmp_path / "data.csv"
     data.write_text("\n".join(_degenerate_lines(case)) + "\n")
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(["fit", "--data", data, "--out-dir", out, *FAST])
-    assert code in (0, 2, 3)
-    assert not [w for w in caught if "encountered in" in str(w.message)], caught
-    if code == 0:
-        summary = [ln.split(",") for ln in data_rows(out / "summary.csv")[1:]]
-        diagnostics = [ln.split(",") for ln in data_rows(out / "diagnostics.csv")]
-        values = [float(c) for cells in summary for c in cells[1:]]
-        values += [float(cells[3]) for cells in diagnostics if cells[0] in ("ess", "acf")]
-        assert np.isfinite(values).all()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    summary = [ln.split(",") for ln in data_rows(out / "summary.csv")[1:]]
+    diagnostics = [ln.split(",") for ln in data_rows(out / "diagnostics.csv")]
+    values = [float(c) for cells in summary for c in cells[1:]]
+    values += [float(cells[3]) for cells in diagnostics if cells[0] in ("ess", "acf")]
+    assert np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_sigma2_near_float_max(tmp_path, n):
+def test_sigma2_near_float_max(tmp_path, capsys, n):
     # at y ~ 1e153-1e154 on a few rows sigma2 starts near 1e306-1e308: the
-    # sigma^2 and rho targets, the summary's mean and the histograms must stay
-    # finite, so fit exits 0 and no RuntimeWarning is raised on the way; at
-    # 4 rows and y ~ 1e154 the start's residual variance overflows (exit 3)
-    for scale in (1e153, 1e154):
-        rng = np.random.default_rng(0)
+    # start's mean square, the sigma^2 and rho targets, the summary's mean and
+    # the histograms must stay finite, so fit exits 0 and no RuntimeWarning is
+    # raised on the way; at 4 rows, y ~ 1e154 and data seed 3 the mean square
+    # itself exceeds float max, a numeric failure (exit 3) with nothing written
+    cases = [(1e153, 0, 0), (1e154, 0, 0)] + ([(1e154, 3, 3)] if n == 4 else [])
+    for scale, seed, expected in cases:
+        rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, 2))
         y = (X[:, 0] - X[:, 1] + rng.standard_normal(n)) * scale
         z = (X[:, 0] + rng.standard_normal(n) > 0).astype(int)
-        data = tmp_path / f"data{scale:.0e}.csv"
+        data = tmp_path / f"data{scale:.0e}_{seed}.csv"
         data.write_text("x1,x2,y,z\n" + "".join(f"{a!r},{b!r},{c!r},{d}\n" for (a, b), c, d
                                                 in zip(X.tolist(), y.tolist(), z.tolist())))
+        out = tmp_path / f"o{scale:.0e}_{seed}"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = run(["fit", "--data", data, "--out-dir", tmp_path / f"o{scale:.0e}", *FAST])
-        assert code == (3 if (n, scale) == (4, 1e154) else 0)
+            code = run(["fit", "--data", data, "--out-dir", out, *FAST])
+        assert code == expected
+        if expected == 3:
+            assert "sigma2 is not finite" in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("lines, message", [

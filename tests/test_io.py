@@ -237,7 +237,7 @@ def test_summary_and_diagnostics_files(tmp_path):
 def test_histogram_counts(tmp_path):
     draws = np.random.default_rng(2).standard_normal(1000)
     path = tmp_path / "hist.csv"
-    bio.write_histogram_csv(path, draws, bins=30)
+    bio.write_histogram_csv(path, draws)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "bin_left,bin_right,count"
     counts = [int(l.split(",")[2]) for l in lines[1:]]
@@ -256,7 +256,7 @@ def test_histogram_beyond_numpy_range(tmp_path, draws):
     path = tmp_path / "hist.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        bio.write_histogram_csv(path, draws, bins=30)
+        bio.write_histogram_csv(path, draws)
     rows = [l.split(",") for l in path.read_text().strip().split("\n")[1:]]
     left, right = (np.array([float(r[k]) for r in rows]) for k in (0, 1))
     assert len(rows) == 30 and sum(int(r[2]) for r in rows) == draws.size

@@ -14,7 +14,6 @@ from blqq.sampler import (
     _log_r_target,
     _log_rho_target,
     _log_sigma2_target,
-    _order_groups,
     _order_sums,
     _prior_variances,
     _residual_quads,
@@ -305,7 +304,7 @@ def test_order_sums_match_power_forms():
     q = np.random.default_rng(13).chisquare(dof)
     assert sample_tau2(beta, eff, r, prior, np.random.default_rng(13)) == pytest.approx(
         (quad + prior.nu * prior.delta_sq) / q, rel=1e-14)
-    order_sum = _order_groups(eff)[2]
+    order_sum = eff.order_sum
     assert order_sum == 8.0
     old_r = ((prior.a - 0.5 * float(orders.sum())) * math.log(r) + prior.b * math.log1p(-r)
              - float(np.sum(beta * beta * np.power(r, -orders.astype(float)))) / (2.0 * tau_sq))

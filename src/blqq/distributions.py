@@ -84,10 +84,17 @@ def sample_scaled_inv_chi2(dof, scale, gen: np.random.Generator, size=None):
     return dof * scale / q
 
 
-def inverse_mills(a):
+def inverse_mills(a, out=None):
     """phi(a) / Phi(a), computed via the scaled complementary error function
-    so it neither under- nor overflows in either tail."""
+    so it neither under- nor overflows in either tail. With out (a float
+    array of a's shape, which may be a itself) the steps write there and
+    allocate nothing; the result has the same bytes either way."""
     a = np.asarray(a, dtype=float)
-    out = math.sqrt(2.0 / math.pi) / special.erfcx(-a / math.sqrt(2.0))
+    if out is None:
+        out = np.empty_like(a)
+    np.negative(a, out=out)
+    np.divide(out, _SQRT2, out=out)
+    special.erfcx(out, out=out)
+    np.divide(math.sqrt(2.0 / math.pi), out, out=out)
     return float(out) if out.ndim == 0 else out
 

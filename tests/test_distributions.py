@@ -171,6 +171,16 @@ def test_inverse_mills_values():
     assert inverse_mills(40.0) == pytest.approx(stats.norm.pdf(40.0), abs=1e-300)
     arr = inverse_mills(np.array([-1.0, 1.0]))
     assert arr.shape == (2,)
+    # the operation order is pinned, and out= gives the allocating call's
+    # bytes, into a separate buffer or in place
+    a = np.concatenate([[-40.0, 0.0, 40.0], np.random.default_rng(3).standard_normal(1000) * 5])
+    want = inverse_mills(a)
+    assert want.tobytes() == (math.sqrt(2.0 / math.pi) / special.erfcx(-a / math.sqrt(2.0))).tobytes()
+    buf = np.empty_like(a)
+    assert inverse_mills(a, out=buf) is buf and np.array_equal(buf, want)
+    inplace = a.copy()
+    inverse_mills(inplace, out=inplace)
+    assert inplace.tobytes() == want.tobytes()
 
 
 def test_truncated_normal_draws_bit_identical_across_streams():

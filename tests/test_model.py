@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,12 +150,13 @@ def random_draws(rng, S, p):
 
 @pytest.mark.parametrize("rows, n", [(8, 1), (8, 7), (8, 8), (8, 9), (8, 3 * 8 + 7),
                                      (2, 2), (2, 3), (2, 5)])
-def test_predict_draws_blocks_match_dense(rows, n):
+def test_predict_draws_blocks_match_dense(rows, n, monkeypatch):
     # rows test rows per block (two when the chain holds more than _CELLS
-    # draws). X and the coefficient draws are small dyadic rationals, so
-    # every cell of X @ beta.T is exact whatever order BLAS sums in; all the
-    # rest (the per-draw scalars, Phi, the Mills ratio, each row's mean over
-    # its draws) must then give the bytes of the all-rows formula
+    # draws), run on 1, 2 and 3 worker threads. X and the coefficient draws
+    # are small dyadic rationals, so every cell of X @ beta.T is exact
+    # whatever order BLAS sums in; all the rest (the per-draw scalars, Phi,
+    # the Mills ratio, each row's mean over its draws) must then give the
+    # bytes of the all-rows formula
     S = model._CELLS // rows - 3 if rows > 2 else model._CELLS + 5
     rng = np.random.default_rng(n)
     chain = random_draws(rng, S, 3)
@@ -163,14 +165,45 @@ def test_predict_draws_blocks_match_dense(rows, n):
     y = 3.0 * rng.standard_normal(n)
     z = rng.integers(0, 2, n)
     for y_obs, z_obs in ((None, None), (y, None), (None, z), (y, z)):
-        got = predict_draws(chain, X, y=y_obs, z=z_obs)
         want = oracles.dense_predict(chain, X, y=y_obs, z=z_obs)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model, "_workers", lambda blocks: min(blocks, workers))
+            got = predict_draws(chain, X, y=y_obs, z=z_obs)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), workers
 
 
-def test_predict_draws_memory_is_bounded():
-    # numpy reports its buffers to tracemalloc; no (n, S) matrix may be formed
+def test_predict_draws_same_bytes_on_any_worker_count(monkeypatch):
+    # S = 9999 is not a multiple of gemm's column tile, so the rounding of
+    # X @ beta.T depends on the rows in a block; the partition into blocks
+    # must not depend on the worker count, and neither may any output byte.
+    # Three workers on frequent thread switches also stress the buffer handout
+    n, S = 1000, 9999
+    rng = np.random.default_rng(9)
+    chain = random_draws(rng, S, 7)
+    X = rng.standard_normal((n, 7))
+    y = 3.0 * rng.standard_normal(n)
+    z = rng.integers(0, 2, n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for y_obs, z_obs in ((None, None), (y, None), (None, z), (y, z)):
+            outs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(model, "_workers", lambda blocks: min(blocks, workers))
+                outs.append(predict_draws(chain, X, y=y_obs, z=z_obs))
+            for other in outs[1:]:
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(other, outs[0]))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_predict_draws_memory_is_bounded(monkeypatch):
+    # numpy reports its buffers to tracemalloc. Two workers own three
+    # (rows, S) buffers each, allocated by the caller; nothing else of block
+    # size may be formed, in the caller or in a worker
+    monkeypatch.setattr(model, "_workers", lambda blocks: min(blocks, 2))
     n, S = 4000, 2000
+    rows = model._CELLS // S
     rng = np.random.default_rng(0)
     chain = random_draws(rng, S, 5)
     X = rng.standard_normal((n, 5))
@@ -182,4 +215,21 @@ def test_predict_draws_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * S * 8, f"peak {peak / 2**20:.1f} MB"
+    bound = 2 * 3 * rows * S * 8 + (1 << 20)    # slack: half a block
+    assert peak < bound, f"peak {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
+
+
+def test_predict_draws_block_error_propagates_from_workers(monkeypatch):
+    # np.errstate reaches the blocks run on worker threads, and what a block
+    # raises reaches the caller
+    monkeypatch.setattr(model, "_workers", lambda blocks: min(blocks, 2))
+    S = 600
+    rng = np.random.default_rng(4)
+    chain = random_draws(rng, S, 2)
+    X = np.full((4 * model._CELLS // S, 2), 1e307)
+    y = np.full(X.shape[0], 1.5e308)        # y - x'beta2 overflows in most cells
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            predict_draws(chain, X, y=y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        predict_draws(chain, X, y=y)

@@ -22,6 +22,17 @@ _SQRT2 = math.sqrt(2.0)
 _NDTRI = statistics.NormalDist().inv_cdf
 
 
+def _pow2_scaled(x, axis=None):
+    """(2^-k x, k), k the binary exponent of max|x| (an int), or with axis=0
+    of each column's max|x| (an int array), 0 where that max is 0. Scaling by
+    a power of two is exact for normal floats, and every |2^-k x_i| < 1, so no
+    product of the scaled values overflows and small values' squares do not
+    underflow."""
+    amax = np.abs(x).max(axis=axis)
+    k = math.frexp(amax)[1] if axis is None else np.frexp(amax)[1]
+    return np.ldexp(x, -k), k
+
+
 def std_normal_log_cdf(x):
     """log Phi(x); stays finite far into the left tail (no underflow to log 0)."""
     x = np.asarray(x, dtype=float)

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _pow2_scaled
+
 
 @dataclass
 class PosteriorSummary:
@@ -30,22 +32,13 @@ class LossReport:
     rho_hat: float
 
 
-def _unit_exponents(draws: np.ndarray) -> np.ndarray:
-    """Per column, the exponent e of a power of two 2^e at least the column's
-    largest |value| where that is above 1, else 0. Dividing by 2^e is exact,
-    and squares of the scaled column cannot overflow."""
-    amax = np.abs(draws).max(axis=0)
-    return np.where(amax > 1.0, np.frexp(amax)[1], 0)
-
-
 def summarize_draws(draws: np.ndarray, names) -> PosteriorSummary:
     """Summary of a (draws x parameters) matrix of post-burn-in samples."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.shape[0] < 1:
         raise ValueError("no draws to summarize")
     q = np.quantile(draws, [0.025, 0.975], axis=0)
-    e = _unit_exponents(draws)
-    scaled = np.ldexp(draws, -e)        # exact, and its sums cannot overflow
+    scaled, e = _pow2_scaled(draws, axis=0)     # exact, each column's max |value| in [0.5, 1)
     if draws.shape[0] > 1:
         sd = np.ldexp(scaled.std(axis=0, ddof=1), e)
     else:
@@ -108,7 +101,7 @@ def acf(chain, max_lag: int) -> np.ndarray:
     n = chain.shape[0]
     if n < 2 * max_lag:
         raise ValueError("need at least 2 * max_lag draws")
-    chain = np.ldexp(chain, -_unit_exponents(chain))    # the ratios are scale-free
+    chain, _ = _pow2_scaled(chain)      # the ratios are scale-free
     centered = chain - chain.mean()
     c0 = float(centered @ centered) / n
     if c0 == 0.0:

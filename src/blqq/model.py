@@ -9,7 +9,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -220,9 +219,10 @@ class Draws:
 # are BLAS's: numpy hands a one-row product to gemv, which rounds differently
 # from gemm, so no block has one row unless X has; and gemm itself may round
 # a few cells differently with the number of rows when S is not a multiple
-# of its column tile. The blocks run across the CPUs the process may use, one
-# thread each (BLAS, numpy and scipy.special release the GIL), and every
-# thread writes into three (rows, S) buffers the calling thread allocated.
+# of its column tile. The blocks run on a pool of one thread per CPU the
+# process may use (BLAS, numpy and scipy.special release the GIL); each thread
+# owns three (rows, S) buffers the calling thread allocated and takes blocks
+# from one shared iterator until none is left.
 # Which rows form a block does not depend on the thread count, so for a fixed
 # BLAS thread count the outputs are the same bytes on any number of cores.
 # The threads gain only when BLAS keeps off the other cores. On a 2-core
@@ -234,12 +234,12 @@ _CELLS = 1 << 18
 
 def _workers(blocks: int) -> int:
     """Threads for predict_draws: one per CPU this process may run on, at
-    most one per block."""
+    most one per block, and at least one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(blocks, cpus)
+    return max(1, min(blocks, cpus))
 
 
 def predict_draws(chain, X, y=None, z=None):
@@ -272,17 +272,13 @@ def predict_draws(chain, X, y=None, z=None):
     if len(starts) > 1 and n - starts[-1] == 1:     # a lone last row joins the block before
         starts.pop()
     blocks = list(zip(starts, starts[1:] + [n]))
-    workers = _workers(len(blocks))
     width = max((hi - lo for lo, hi in blocks), default=0)
-    free = queue.SimpleQueue()              # one set of three buffers per worker
-    for _ in range(workers):
-        free.put([np.empty((width, S)) for _ in range(3)])
+    todo = iter(blocks)         # next() on a list iterator is atomic under the GIL
 
-    def predict_block(lo, hi):
-        # every step writes into the buffers, in the operation order of the
-        # all-rows formula
-        buffers = free.get()
-        try:
+    def predict_blocks(buffers):
+        # takes blocks until none is left; every step writes into this
+        # worker's buffers, in the operation order of the all-rows formula
+        for lo, hi in todo:
             lin1, lin2, work = (b[:hi - lo] for b in buffers)
             rows = slice(lo, hi)
             np.matmul(X[rows], b1t, out=lin1)
@@ -302,18 +298,14 @@ def predict_draws(chain, X, y=None, z=None):
                 y_hat[rows] = np.add(lin2, work, out=work).mean(axis=1)
             else:
                 y_hat[rows] = lin2.mean(axis=1)
-        finally:
-            free.put(buffers)
 
-    if workers <= 1:
-        for lo, hi in blocks:
-            predict_block(lo, hi)
-    else:
-        # np.errstate lives in a context variable, which new threads do not inherit
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, predict_block, lo, hi)
-                       for lo, hi in blocks]
-            for future in futures:
-                future.result()
+    workers = _workers(len(blocks))
+    # np.errstate lives in a context variable, which new threads do not inherit
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, predict_blocks,
+                               [np.empty((width, S)) for _ in range(3)])
+                   for _ in range(workers)]
+        for future in futures:
+            future.result()
     z_hat = (p_z1 >= 0.5).astype(int)
     return y_hat, p_z1, z_hat

@@ -41,7 +41,7 @@ from operator import mul
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import _TINY, _draw_halfline, sample_scaled_inv_chi2
+from .distributions import _TINY, _draw_halfline, _pow2_scaled, sample_scaled_inv_chi2
 from .model import (
     SCALAR_NAMES,
     ChainConfig,
@@ -134,22 +134,14 @@ class SamplerWorkspace:
     def build(cls, data: Dataset, state: ParameterState) -> "SamplerWorkspace":
         X, y = data.X, data.y
         with np.errstate(over="ignore", invalid="ignore"):   # _check_conditioning names it
-            gram = X.T @ X
-        ws = cls(X=X, y=y, z=data.z, gram=gram, xty=X.T @ y, xtu=X.T @ state.u)
-        ws.refresh_residuals(state)
+            ws = cls(X=X, y=y, z=data.z, gram=X.T @ X, xty=X.T @ y, xtu=X.T @ state.u)
+            ws.refresh_residuals(state)
         return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
         self.eta = state.u - self.X @ state.beta1
         self.phi = self.y - self.X @ state.beta2
         self.quads = _residual_quads(self.eta, self.phi)
-
-
-def _pow2_scaled(x):
-    """(2^-k x, k), k the binary exponent of max|x|: exact, and every
-    |2^-k x_i| <= 1, so no product of them overflows."""
-    k = math.frexp(float(np.abs(x).max()))[1]
-    return np.ldexp(x, -k), k
 
 
 def _residual_quads(eta, phi):
@@ -202,26 +194,27 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     k12 = -rho / (one_m * s)
     k22 = 1.0 / (one_m * sigma2)
 
-    A = np.empty((2 * p, 2 * p))
-    A[:p, :p] = k11 * ws.gram
-    A[:p, :p][np.diag_indices(p)] += 1.0 / v1
-    A[p:, p:] = k22 * ws.gram
-    A[p:, p:][np.diag_indices(p)] += 1.0 / v2
-    A[:p, p:] = k12 * ws.gram
-    A[p:, :p] = A[:p, p:].T
-
-    L, info = lapack.dpotrf(A, lower=1)
-    try:        # a refusal carries the failed factorization as its context
-        if info:
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-    except np.linalg.LinAlgError:
-        _check_conditioning(A)
-        raise
-    # The inverse of a nearly singular A may overflow without a warning, and
-    # the factor of an overflowed A holds nan; the bound is then not finite
-    # and the eigenvalue test below decides.
-    Linv, _ = lapack.dtrtri(L, lower=1)
+    # An overflowed Gram matrix makes A not finite (k12 * inf is nan at
+    # rho = 0), the inverse of a nearly singular A may overflow, and the
+    # factor of an overflowed A holds nan; the bound below is then not finite,
+    # and the eigenvalue test decides and names the failure.
     with np.errstate(over="ignore", invalid="ignore"):
+        A = np.empty((2 * p, 2 * p))
+        A[:p, :p] = k11 * ws.gram
+        A[:p, :p][np.diag_indices(p)] += 1.0 / v1
+        A[p:, p:] = k22 * ws.gram
+        A[p:, p:][np.diag_indices(p)] += 1.0 / v2
+        A[:p, p:] = k12 * ws.gram
+        A[p:, :p] = A[:p, p:].T
+
+        L, info = lapack.dpotrf(A, lower=1)
+        try:        # a refusal carries the failed factorization as its context
+            if info:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+        except np.linalg.LinAlgError:
+            _check_conditioning(A)
+            raise
+        Linv, _ = lapack.dtrtri(L, lower=1)
         # The scaled precision A_s and its inverse are SPD with tr(A_s) = 2p,
         # so cond(A_s) <= tr(A_s) tr(A_s^-1) = 2p sum_i A_ii (A^-1)_ii, and
         # (A^-1)_ii is the squared norm of column i of L^-1. Where that bound
@@ -452,11 +445,12 @@ def init_state(data: Dataset):
     residual for sigma^2, sign-corrected link values for u, sample correlation
     for rho (0 where u or y is constant), and the hypers at _INITIAL_HYPER.
     The mean square is taken of the _pow2_scaled residuals and scaled back, so
-    it is inf only where it exceeds the float range itself. A start that is
-    not finite (data whose squares overflow) raises RuntimeError, as a numeric
-    failure in a scan does; the overflow and invalid-value warnings numpy
-    would print on the way, from here and corrcoef, are silenced, because that
-    error names the failure."""
+    it is inf only where it exceeds the float range itself, and the
+    correlation of the _pow2_scaled y, whose squares do not underflow. A start
+    that is not finite (data whose squares overflow) raises RuntimeError, as a
+    numeric failure in a scan does; the overflow and invalid-value warnings
+    numpy would print on the way, from here and corrcoef, are silenced,
+    because that error names the failure."""
     X, y, z = data.X, data.y, data.z
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,7 +463,7 @@ def init_state(data: Dataset):
         xb = X @ beta1
         mag = np.maximum(np.abs(xb), 1e-3)
         u0 = np.where(z == 1, mag, -mag)
-        rho0 = float(np.nan_to_num(np.corrcoef(u0, y)[0, 1]))
+        rho0 = float(np.nan_to_num(np.corrcoef(u0, _pow2_scaled(y)[0])[0, 1]))
     rho0 = min(max(rho0, -0.95), 0.95)
 
     start = {"beta1": beta1, "beta2": beta2, "sigma2": sigma2, "rho": rho0, "u": u0}

@@ -464,6 +464,43 @@ def test_sigma2_near_float_max(tmp_path, capsys, n):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("n, p", [(3, 1), (12, 2)])
+@pytest.mark.parametrize("model", ["blqq", "smb"])
+def test_scale_grid(tmp_path, capsys, model, n, p):
+    # X and y each scaled across the float range: every fit exits 0, or 3 as
+    # a numeric failure with no chain written, and none raises a
+    # RuntimeWarning or lets an exception out of main; 100 stored draws, so
+    # the ESS is computed too
+    rng = np.random.default_rng(n)
+    X0 = rng.standard_normal((n, p))
+    y0 = X0 @ np.linspace(1.0, -0.5, p) + rng.standard_normal(n)
+    z = np.arange(n) % 2                    # both classes
+    header = [f"x{j + 1}" for j in range(p)] + ["y", "z"]
+    scales = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+    for sx in scales:
+        for sy in scales:
+            case = f"X*{sx:g}, y*{sy:g}"
+            data = tmp_path / f"data_{sx:g}_{sy:g}.csv"
+            rows = [",".join([*map(repr, row), repr(yi), str(zi)])
+                    for row, yi, zi in zip((sx * X0).tolist(), (sy * y0).tolist(), z.tolist())]
+            data.write_text("\n".join([",".join(header), *rows]) + "\n")
+            out = tmp_path / f"o_{sx:g}_{sy:g}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = run(["fit", "--data", data, "--out-dir", out, "--model", model,
+                                "--iterations", "120", "--burn-in", "20"])
+                except Exception as exc:
+                    pytest.fail(f"{case}: {exc!r} left main")
+            err = capsys.readouterr().err
+            assert code in (0, 3), case
+            if code == 3:
+                assert "numeric failure" in err, case
+                assert not (out / "chain.csv").exists(), case
+            if sx == sy == 1.0:
+                assert code == 0, case
+
+
 @pytest.mark.parametrize("lines, message", [
     (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
      "line 1: repeated column 'y'"),

@@ -135,19 +135,22 @@ def test_ess_needs_enough_draws():
         effective_sample_size(np.arange(50.0))
 
 
-@pytest.mark.parametrize("k", [600, 1000])
+@pytest.mark.parametrize("k", [-600, 600, 1000])
 def test_scaling_by_a_power_of_two_is_exact(k):
-    # acf, ESS and sd work on the chain divided by a power of two, so a chain
-    # whose squares overflow (values near 1e301) gives the same acf and ESS,
-    # and the sd scaled by the same power, bit for bit
+    # acf, ESS and the summary work on the chain scaled by a power of two, so
+    # a chain whose squares overflow (values near 1e301) or underflow (near
+    # 1e-181) gives the same acf and ESS, and the summary scaled by the same
+    # power, bit for bit
     rng = np.random.default_rng(8)
     chain = 3.0 + 0.1 * rng.standard_normal(500).cumsum()
-    big = np.ldexp(chain, k)
-    assert np.array_equal(acf(big, 20), acf(chain, 20))
-    assert effective_sample_size(big) == effective_sample_size(chain)
+    scaled = np.ldexp(chain, k)
+    assert np.array_equal(acf(scaled, 20), acf(chain, 20))
+    assert effective_sample_size(scaled) == effective_sample_size(chain)
     draws = np.column_stack([chain, -2.0 * chain])
-    sd = summarize_draws(draws, ["a", "b"]).sd
-    assert np.array_equal(summarize_draws(np.ldexp(draws, k), ["a", "b"]).sd, np.ldexp(sd, k))
+    want = summarize_draws(draws, ["a", "b"])
+    got = summarize_draws(np.ldexp(draws, k), ["a", "b"])
+    for field in ("mean", "sd", "q025", "q975"):
+        assert np.array_equal(getattr(got, field), np.ldexp(getattr(want, field), k)), field
 
 
 def test_mean_near_float_max_is_finite():

@@ -176,7 +176,8 @@ def test_predict_draws_same_bytes_on_any_worker_count(monkeypatch):
     # S = 9999 is not a multiple of gemm's column tile, so the rounding of
     # X @ beta.T depends on the rows in a block; the partition into blocks
     # must not depend on the worker count, and neither may any output byte.
-    # Three workers on frequent thread switches also stress the buffer handout
+    # Three workers on frequent thread switches also stress the one block
+    # iterator they share: a block lost would leave garbage in an output
     n, S = 1000, 9999
     rng = np.random.default_rng(9)
     chain = random_draws(rng, S, 7)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import blqq.sampler as sampler_mod
-from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig
+from blqq.metrics import effective_sample_size
+from blqq.model import ChainConfig, Dataset, EffectOrders, HyperState, ParameterState, PriorConfig
 from blqq.sampler import _INITIAL_STEP, SamplerWorkspace, _iterate, init_state, run_chain
 from blqq.simulate import SimulationScenario, gen_replicate
 
@@ -66,6 +67,23 @@ def test_init_state_singular_design_is_min_norm():
     # a ridge fit on X'X + 1e-6 I sits 4.4e-9 away, far outside this tolerance
     np.testing.assert_allclose(state.beta2, np.linalg.lstsq(data.X, data.y, rcond=None)[0],
                                rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_init_state_rho_on_tiny_y(scale):
+    # the start correlation is taken with y scaled by a power of two, so it
+    # does not depend on the scale of y: squares of y near 1e-200 would
+    # underflow and clamp rho at 0.95, with a divide-by-zero warning
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((30, 3))
+    y = X @ [1.0, 0.5, 0.0] + rng.standard_normal(30)
+    z = (X @ [1.0, -1.0, 0.0] + rng.standard_normal(30) > 0).astype(int)
+    want = init_state(Dataset(X, y, z))[0].rho
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = init_state(Dataset(X, scale * y, z))[0].rho
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert abs(want) < 0.9
 
 
 def run_small(data, **kw):
@@ -175,3 +193,81 @@ def test_tiny_chain_survives_r_at_its_clamp():
         data = Dataset(rng.standard_normal((3, 1)), rng.standard_normal(3), np.array([1, 0, 1]))
         out = run_chain(data, orders, prior, ChainConfig(iterations=2000, burn_in=1000, seed=seed))
         assert np.all(np.isfinite(out.draws)), seed
+
+
+# Geweke (2004), "Getting it right", JASA 99:799. One scan leaves the
+# posterior of (theta, u) given (y, z) invariant, and a fresh draw of
+# (u, y, z) given theta leaves the joint of (theta, u, y, z) invariant, so
+# alternating the two from a draw of the prior keeps theta's marginal at the
+# prior. The seed, the scan count, the prior sample size and the bound were
+# fixed before the test was first run: |z| <= 4 over twelve test functions
+# is about one false alarm in 1000 runs under normality.
+_GEWEKE_SEED = 2
+_GEWEKE_SCANS = 30_000
+_GEWEKE_PRIOR_DRAWS = 100_000
+_GEWEKE_BOUND = 4.0
+
+
+def _geweke_prior(prior, orders, size, gen):
+    """size independent draws of (beta1, beta2, sigma2, rho, tau1^2, tau2^2,
+    r1, r2) from the prior, the beta blocks as (size, p) arrays."""
+    tau_sq = prior.nu * prior.delta_sq / gen.chisquare(prior.nu, (2, size))
+    r = gen.beta(prior.a, prior.b, (2, size))
+    beta = np.sqrt(tau_sq[..., None] * r[..., None] ** orders) * gen.standard_normal(
+        (2, size, len(orders)))
+    sigma2 = (prior.sigma2_prior_dof * prior.sigma2_prior_scale
+              / gen.chisquare(prior.sigma2_prior_dof, size))
+    rho = gen.uniform(-1.0, 1.0, size)
+    return beta[0], beta[1], sigma2, rho, tau_sq[0], tau_sq[1], r[0], r[1]
+
+
+def _geweke_functions(beta1, beta2, sigma2, rho, tau1_sq, tau2_sq, r1, r2):
+    """The twelve test functions, one column each, one row per draw."""
+    atan11 = np.arctan(beta1[:, 0])
+    return np.column_stack([
+        rho, rho ** 2, np.log(sigma2), np.log(tau1_sq), np.log(tau2_sq), r1, r2,
+        atan11, np.arctan(beta1[:, 1]) ** 2, np.arctan(beta2[:, 0]) ** 2,
+        np.arctan(beta1[:, 0] * beta2[:, 0]), rho * atan11])
+
+
+def _geweke_data(X, state, gen):
+    """(u, y, z) given the parameters: (u_i, y_i) bivariate normal about
+    (x_i'beta1, x_i'beta2) with variances 1 and sigma2 and correlation rho."""
+    e1, e2 = gen.standard_normal((2, X.shape[0]))
+    u = X @ state.beta1 + e1
+    y = X @ state.beta2 + np.sqrt(state.sigma2) * (
+        state.rho * e1 + np.sqrt(1.0 - state.rho ** 2) * e2)
+    return u, y, (u >= 0).astype(int)
+
+
+def test_whole_sampler_keeps_the_prior():
+    # successive-conditional simulation on n=5, p=2 with effect orders (1, 2)
+    # and fixed MH steps; each test function's mean over the scans is
+    # compared with its mean over independent prior draws, the scans' variance
+    # taken over their effective sample size
+    orders = EffectOrders([1, 2])
+    prior = PriorConfig(nu=6, delta_sq=1, a=1, b=1, sigma2_prior_dof=5, sigma2_prior_scale=1)
+    X = np.random.default_rng(_GEWEKE_SEED).standard_normal((5, 2))
+    gen = np.random.default_rng([_GEWEKE_SEED, 9])
+    start = [v[0] for v in _geweke_prior(prior, orders.orders, 1, gen)]
+    state = ParameterState(*start[:4], u=np.zeros(5))
+    hyper = HyperState(*start[4:])
+    rngs = {name: np.random.default_rng([_GEWEKE_SEED, k]) for k, name in enumerate(
+        ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
+    steps = {"sigma2": 1.0, "rho": 1.0, "r1": 3.0, "r2": 3.0}
+    timings = dict.fromkeys(("beta_fc", "u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)
+    rows = np.empty((_GEWEKE_SCANS, 10))
+    for m in range(_GEWEKE_SCANS):
+        state.u, y, z = _geweke_data(X, state, gen)
+        ws = SamplerWorkspace.build(Dataset(X, y, z), state)
+        _iterate(state, hyper, ws, orders, prior, steps, rngs, True, timings)
+        rows[m] = (*state.beta1, *state.beta2, state.sigma2, state.rho,
+                   hyper.tau1_sq, hyper.tau2_sq, hyper.r1, hyper.r2)
+    scans = _geweke_functions(rows[:, 0:2], rows[:, 2:4], *rows[:, 4:].T)
+    draws = _geweke_functions(*_geweke_prior(
+        prior, orders.orders, _GEWEKE_PRIOR_DRAWS, np.random.default_rng([_GEWEKE_SEED, 10])))
+    ess = np.array([effective_sample_size(col) for col in scans.T])
+    zs = (scans.mean(axis=0) - draws.mean(axis=0)) / np.sqrt(
+        scans.var(axis=0) / ess + draws.var(axis=0) / _GEWEKE_PRIOR_DRAWS)
+    print("\nGeweke z:", np.array2string(zs, precision=2), "ESS min", round(ess.min()))
+    assert np.all(np.abs(zs) <= _GEWEKE_BOUND), zs

@@ -55,7 +55,7 @@ def main():
                           seed=args.seed + 17 * split)
         chain = run_chain(train, orders, prior, cfg)
         bio.write_chain_csv(os.path.join(args.out_dir, f"split{split}_chain.csv"),
-                            chain, meta=bio.config_meta(cfg, extra={"split": split}))
+                            chain, meta=bio.config_meta(cfg, prior, extra={"split": split}))
 
         y_hat, _, z_hat = predict_draws(chain, Xte, y=yte, z=full.z[te])
         lo, hi = np.quantile(chain.rho, [0.025, 0.975])

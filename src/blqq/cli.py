@@ -2,7 +2,7 @@
 
 Every command is fully seeded; rerunning with the same flags produces
 byte-identical output files. Exit codes: 0 success, 2 validation error,
-3 numeric failure.
+3 numeric failure (the RuntimeError of run_chain).
 """
 from __future__ import annotations
 
@@ -160,7 +160,8 @@ def cmd_fit(args) -> int:
         chain = fit_sm_b(data, orders, prior, cfg)
     else:
         chain = run_chain(data, orders, prior, cfg)
-    meta = bio.config_meta(cfg, extra={"model": args.model, "data": os.path.basename(args.data)})
+    meta = bio.config_meta(cfg, prior, extra={"model": args.model,
+                                              "data": os.path.basename(args.data)})
     _write_fit_outputs(args.out_dir, chain, meta)
     return 0
 
@@ -205,7 +206,7 @@ def run_setting(rho, p, s, replicates, prior: PriorConfig, cfg: ChainConfig):
                     chain = run_chain(rep.train, orders, prior, rep_cfg)
                 report = evaluate_fit(chain, rep.test, rep.beta1_true, rep.beta2_true)
                 rows.append((k, method, report, "ok"))
-            except (RuntimeError, np.linalg.LinAlgError) as exc:
+            except RuntimeError as exc:     # run_chain's numeric failure
                 # a status is one CSV cell, and cells are never quoted
                 rows.append((k, method, None, f"failed: {exc}".replace(",", ";")))
     return rows
@@ -250,8 +251,7 @@ def cmd_replicate(args) -> int:
                     measure += " (incomplete)"
                 agg_rows.append([name, method, measure, repr(mean), repr(se), str(n_ok)])
 
-    meta = {"seed": args.seed, "iterations": args.iterations, "burn_in": args.burn_in,
-            "replicates": args.replicates}
+    meta = bio.config_meta(cfg, prior, extra={"replicates": args.replicates})
     os.makedirs(args.out_dir, exist_ok=True)
     bio._write_table(os.path.join(args.out_dir, "losses_raw.csv"), raw_header, raw_rows,
                      meta=meta)
@@ -325,8 +325,8 @@ def main(argv=None) -> int:
     except (bio.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:         # run_chain's message names the numeric failure
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .metrics import PosteriorSummary
-from .model import ChainConfig, Dataset, Draws, EffectOrders, draw_columns
+from .model import ChainConfig, Dataset, Draws, EffectOrders, PriorConfig, draw_columns
 
 
 class DatasetFormatError(ValueError):
@@ -36,12 +36,18 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def config_meta(cfg: ChainConfig, extra=None) -> dict:
+def config_meta(cfg: ChainConfig, prior: PriorConfig, extra=None) -> dict:
+    """The '#key: value' provenance of a chain's outputs: its configuration,
+    the prior constants under their CLI flags' names, then extra."""
     meta = {
         "seed": cfg.seed,
         "iterations": cfg.iterations,
         "burn_in": cfg.burn_in,
         "thin": cfg.thin,
+        "nu": prior.nu,
+        "delta_sq": prior.delta_sq,
+        "beta_a": prior.a,
+        "beta_b": prior.b,
     }
     meta.update(extra or {})
     return meta

@@ -149,6 +149,8 @@ class ChainConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
         if (self.iterations - self.burn_in) // self.thin < 1:
             raise ValueError("iterations - burn_in must be at least thin, or no draw is stored")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def joint_log_likelihood(data: Dataset, params: ParameterState) -> float:

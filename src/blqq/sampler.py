@@ -28,8 +28,8 @@ Every other move reads the state through a few scalars formed once where the
 state changes. The sigma^2 and rho targets read eta'eta, eta'phi and phi'phi,
 set with the residuals, with phi scaled by a power of two 2^-k so that no
 product overflows where the target is finite; 2^k/sigma is applied at each
-evaluation. The tau^2 draws, the r targets and the prior variances read beta
-only through one sum of squares per distinct effect order.
+evaluation. The tau^2 draw and the r target of a block read its beta only
+through one sum of squares per distinct effect order, formed once per scan.
 """
 from __future__ import annotations
 
@@ -67,12 +67,6 @@ class IllConditionedError(RuntimeError):
         super().__init__(f"full-conditional system ill-conditioned (cond ~ {cond_estimate:.3e})")
 
 
-class PriorVarianceError(RuntimeError):
-    """Raised when a prior variance tau^2 * r^order is not a finite normal
-    float, e.g. when a high effect order underflows it, so that the precision
-    1/v would overflow."""
-
-
 def _order_sums(beta, orders: EffectOrders):
     """[(k, S_k)] for each distinct effect order k, S_k the sum of beta_j^2
     over the columns j of order k: all the hyper moves read of beta."""
@@ -89,14 +83,15 @@ def _order_quad(sums, r: float) -> float:
 
 def _prior_variances(orders: EffectOrders, hyper: HyperState):
     """Prior variance diagonals v1, v2 of beta1 and beta2, checked before the
-    beta full conditional forms the precision 1/v from them."""
+    beta full conditional forms the precision 1/v from them: one that is not a
+    finite normal float (a high effect order may underflow it) raises."""
     out = []
     for block, tau_sq, r in (("beta1", hyper.tau1_sq, hyper.r1), ("beta2", hyper.tau2_sq, hyper.r2)):
         per_order = [tau_sq * r ** k for k in orders.levels]
         v = np.array(per_order)[orders.group]
         if not all(_TINY <= x < math.inf for x in per_order):     # False for nan as well
             j = int(np.argmin((v >= _TINY) & (v < np.inf)))
-            raise PriorVarianceError(
+            raise RuntimeError(
                 f"prior variance of {block}_{j + 1} (effect order {orders.orders[j]}) is "
                 f"tau^2 * r^order = {float(v[j])!r} at tau^2 = {tau_sq:.6g}, r = {r:.6g}; "
                 f"it must be finite and at least {_TINY:.6g}")
@@ -125,9 +120,7 @@ class SamplerWorkspace:
     gram: np.ndarray            # X'X
     xty: np.ndarray             # X'y
     xtu: np.ndarray             # X'u, maintained incrementally during sweeps
-    eta: np.ndarray = field(init=False)     # u - X beta1
-    phi: np.ndarray = field(init=False)     # y - X beta2
-    quads: tuple = field(init=False)        # _residual_quads(eta, phi)
+    quads: tuple = field(init=False)        # _residual_quads(u - X beta1, y - X beta2)
     loo_fallbacks: int = 0
 
     @classmethod
@@ -139,9 +132,7 @@ class SamplerWorkspace:
         return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
-        self.eta = state.u - self.X @ state.beta1
-        self.phi = self.y - self.X @ state.beta2
-        self.quads = _residual_quads(self.eta, self.phi)
+        self.quads = _residual_quads(state.u - self.X @ state.beta1, self.y - self.X @ state.beta2)
 
 
 def _residual_quads(eta, phi):
@@ -405,11 +396,11 @@ def sample_rho_mh(state: ParameterState, ws: SamplerWorkspace, step: float,
                   step, gen)
 
 
-def sample_tau2(beta_k, orders: EffectOrders, r_k, prior: PriorConfig,
+def sample_tau2(sums, orders: EffectOrders, r_k, prior: PriorConfig,
                 gen: np.random.Generator) -> float:
-    """Conjugate scaled-inv-chi^2 draw for one prior variance tau_k^2."""
-    dof = prior.nu + len(beta_k)
-    scale = (_order_quad(_order_sums(beta_k, orders), float(r_k)) + prior.nu * prior.delta_sq) / dof
+    """Conjugate scaled-inv-chi^2 draw of one tau_k^2, from the block's _order_sums."""
+    dof = prior.nu + len(orders.orders)
+    scale = (_order_quad(sums, float(r_k)) + prior.nu * prior.delta_sq) / dof
     return float(sample_scaled_inv_chi2(dof, scale, gen))
 
 
@@ -427,10 +418,9 @@ def _expit_clamped(x: float) -> float:
     return min(max(1.0 / (1.0 + math.exp(-x)), 1e-12), 1.0 - 1e-12)
 
 
-def sample_r_mh(beta_k, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
+def sample_r_mh(sums, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
                 step: float, gen: np.random.Generator, current: float):
-    """Random-walk MH on logit(r) for one shrinkage decay parameter."""
-    sums = _order_sums(beta_k, orders)
+    """Random-walk MH on logit(r) for one decay parameter, from the block's _order_sums."""
     cur = float(current)
     if not 0.0 < cur < 1.0:
         raise ValueError("current r must lie in (0, 1)")
@@ -447,10 +437,9 @@ def init_state(data: Dataset):
     The mean square is taken of the _pow2_scaled residuals and scaled back, so
     it is inf only where it exceeds the float range itself, and the
     correlation of the _pow2_scaled y, whose squares do not underflow. A start
-    that is not finite (data whose squares overflow) raises RuntimeError, as a
-    numeric failure in a scan does; the overflow and invalid-value warnings
-    numpy would print on the way, from here and corrcoef, are silenced,
-    because that error names the failure."""
+    that is not finite (data whose squares overflow) raises RuntimeError; the
+    overflow and invalid-value warnings numpy would print on the way, from
+    here and corrcoef, are silenced, because that error names the failure."""
     X, y, z = data.X, data.y, data.z
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,7 +458,7 @@ def init_state(data: Dataset):
     start = {"beta1": beta1, "beta2": beta2, "sigma2": sigma2, "rho": rho0, "u": u0}
     for name, value in start.items():
         if not np.isfinite(value).all():
-            raise RuntimeError(f"numeric failure at the start: {name} is not finite")
+            raise RuntimeError(f"{name} is not finite")
     return ParameterState(**start), HyperState(**_INITIAL_HYPER)
 
 
@@ -520,8 +509,7 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     sample_u_sweep(state, fc, ws, rngs["u"])
     sweep_toc = time.perf_counter()
     xtu_ref = ws.X.T @ state.u
-    err = np.linalg.norm(ws.xtu - xtu_ref)
-    if err > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
+    if np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
         raise RuntimeError("incremental X'u statistic drifted")
     ws.xtu = xtu_ref
     fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
@@ -543,30 +531,40 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     timings["sigma2_rho"] += time.perf_counter() - tic
 
     tic = time.perf_counter()
-    hyper.tau1_sq = sample_tau2(state.beta1, orders, hyper.r1, prior, rngs["tau1"])
-    hyper.tau2_sq = sample_tau2(state.beta2, orders, hyper.r2, prior, rngs["tau2"])
-    hyper.r1, hits["r1"] = sample_r_mh(state.beta1, hyper.tau1_sq, orders, prior,
+    sums1, sums2 = _order_sums(state.beta1, orders), _order_sums(state.beta2, orders)
+    hyper.tau1_sq = sample_tau2(sums1, orders, hyper.r1, prior, rngs["tau1"])
+    hyper.tau2_sq = sample_tau2(sums2, orders, hyper.r2, prior, rngs["tau2"])
+    hyper.r1, hits["r1"] = sample_r_mh(sums1, hyper.tau1_sq, orders, prior,
                                        steps["r1"], rngs["r1"], current=hyper.r1)
-    hyper.r2, hits["r2"] = sample_r_mh(state.beta2, hyper.tau2_sq, orders, prior,
+    hyper.r2, hits["r2"] = sample_r_mh(sums2, hyper.tau2_sq, orders, prior,
                                        steps["r2"], rngs["r2"], current=hyper.r2)
     timings["hyper"] += time.perf_counter() - tic
     return hits
 
 
+_NUMERIC = (ArithmeticError, RuntimeError, ValueError)    # LinAlgError is a ValueError
+
+
 def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: ChainConfig) -> ChainOutput:
     """Full Gibbs run: init, then cfg.iterations scans of _iterate. MH steps
     adapt toward 0.35 acceptance during burn-in only; acceptances are counted
-    and draws stored after it."""
-    if data.n < 2:
-        raise ValueError("need n >= 2 rows and p >= 1 columns")
-    state, hyper = init_state(data)
+    and draws stored after it. Arguments that cannot be fit raise ValueError;
+    after them, any _NUMERIC exception is a numeric failure: RuntimeError."""
+    if data.n < 2 or data.y is None or data.z is None:
+        raise ValueError("need n >= 2 rows and both responses, y and z")
+    if len(orders.orders) != data.p:
+        raise ValueError(f"{len(orders.orders)} effect orders given for {data.p} columns")
+    try:
+        state, hyper = init_state(data)
+        ws = SamplerWorkspace.build(data, state)
+    except _NUMERIC as exc:
+        raise RuntimeError(f"numeric failure at the start: {exc}") from exc
     joint = not cfg.freeze_rho_at_zero
     if not joint:
         state.rho = 0.0
 
     rngs = {name: np.random.default_rng([cfg.seed, k]) for k, name in enumerate(
         ("u", "beta", "sigma2", "rho", "tau1", "tau2", "r1", "r2"), start=1)}
-    ws = SamplerWorkspace.build(data, state)
 
     steps = {t: _INITIAL_STEP for t in _MH_TARGETS}
     counts = {t: (0, 0) for t in _MH_TARGETS}
@@ -578,8 +576,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     for j in range(1, cfg.iterations + 1):
         try:
             hits = _iterate(state, hyper, ws, orders, prior, steps, rngs, joint, timings)
-        except (IllConditionedError, PriorVarianceError, np.linalg.LinAlgError,
-                FloatingPointError) as exc:
+        except _NUMERIC as exc:
             raise RuntimeError(f"numeric failure at iteration {j}: {exc}") from exc
 
         if j <= cfg.burn_in:

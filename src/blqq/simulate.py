@@ -32,12 +32,16 @@ class SimulationScenario:
     fix_coefficients: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.sparsity <= 1.0:         # False for nan as well
+            raise ValueError(f"sparsity must lie in [0, 1], got {self.sparsity}")
         k = self.sparsity * self.p
         if abs(k - round(k)) > 1e-9:
             raise ValueError("sparsity * p must be an integer")
         for name in ("p", "replicates", "n_train", "n_test"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not -1.0 < self.rho_true < 1.0:
             raise ValueError(f"rho_true must lie in (-1, 1), got {self.rho_true}")
         if not self.sigma2_true > 0.0:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
@@ -7,8 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blqq.cli as cli
+import blqq.sampler as sampler
 from blqq import io as bio
 from blqq.cli import main
 from blqq.model import Dataset, Draws, EffectOrders
@@ -96,6 +100,9 @@ def test_simulate_rejects_bad_sparsity(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+PROVENANCE = ["seed", "iterations", "burn_in", "thin", "nu", "delta_sq", "beta_a", "beta_b"]
+
+
 def fit_once(tmp_path, name, extra=()):
     data_dir = tmp_path / "sims"
     if not data_dir.exists():
@@ -124,6 +131,11 @@ def test_fit_outputs(tmp_path):
     assert set(steps) == {"sigma2", "rho", "r1", "r2"}
     assert all(1e-3 <= v <= 80.0 for v in steps.values())
     assert [r[1:] for r in rows if r[0] == "loo_fallbacks"] == [["u", "", "0"]]
+    # every output names the chain's configuration and prior constants
+    for f in ("chain.csv", "summary.csv", "diagnostics.csv", "hist_rho.csv"):
+        keys = [ln[1:].split(":", 1)[0] for ln in (out / f).read_text().splitlines()
+                if ln.startswith("#")]
+        assert keys == [*PROVENANCE, "model", "data"], f
 
 
 def test_fit_smb_pins_rho(tmp_path):
@@ -331,6 +343,87 @@ def test_numeric_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def _raise(exc):
+    raise exc
+
+
+# case -> (owner, name, failing call, fault run before that call, message)
+_FAULTS = {
+    "start-lstsq": (np.linalg, "lstsq", 1,
+                    lambda *a, **k: _raise(np.linalg.LinAlgError("SVD did not converge")),
+                    "numeric failure at the start: SVD did not converge"),
+    "sigma2-value-error": (sampler, "sample_sigma2_mh", 3,
+                           lambda *a, **k: _raise(ValueError("math domain error")),
+                           "numeric failure at iteration 3: math domain error"),
+    "xtu-drift": (sampler, "sample_u_sweep", 4,
+                  lambda state, fc, ws, gen: np.add(ws.xtu, 1.0, out=ws.xtu),
+                  "numeric failure at iteration 4: incremental X'u statistic drifted"),
+}
+
+
+def _inject(monkeypatch, case):
+    owner, name, nth, fault, _ = _FAULTS[case]
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == nth:
+            fault(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("case", sorted(_FAULTS))
+def test_fault_in_a_chain_is_a_numeric_failure(tmp_path, monkeypatch, capsys, case):
+    # whatever its class, an exception from the start or a scan is a numeric
+    # failure: fit exits 3 naming where the chain stopped, once, with nothing
+    # written, and replicate records the failed chain and writes both tables
+    _, _, train = fit_once(tmp_path, "fit")
+    capsys.readouterr()
+    message = _FAULTS[case][-1]
+    _inject(monkeypatch, case)
+    out = tmp_path / "o"
+    assert run(["fit", "--data", train, "--out-dir", out, *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+    _inject(monkeypatch, case)
+    rep = tmp_path / "rep"
+    assert run(["replicate", "--p", "4", "--sparsity", "0.25", "--replicates", "1",
+                *FAST, "--out-dir", rep]) == 0
+    raw = (rep / "losses_raw.csv").read_text()
+    assert f"0,blqq,failed: {message}," in raw
+    assert ",0,smb,ok," in raw
+    assert "blqq,rmse (incomplete)," in (rep / "losses_summary.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--sparsity", "1.5"], "sparsity must lie in [0, 1], got 1.5"),
+    (["simulate", "--sparsity", "-0.2"], "sparsity must lie in [0, 1], got -0.2"),
+    (["simulate", "--sparsity", "nan"], "sparsity must lie in [0, 1], got nan"),
+    (["replicate", "--sparsity", "1.5", *FAST], "sparsity must lie in [0, 1], got 1.5"),
+    (["simulate", "--seed", "-1"], "base_seed must be >= 0, got -1"),
+    (["replicate", "--seed", "-1", *FAST], "seed must be >= 0, got -1"),
+    (["fit", "--seed", "-3", *FAST], "seed must be >= 0, got -3")],
+    ids=["simulate-sparsity-1.5", "simulate-sparsity-neg", "simulate-sparsity-nan",
+         "replicate-sparsity-1.5", "simulate-seed-neg", "replicate-seed-neg", "fit-seed-neg"])
+def test_out_of_range_value_exit_2(tmp_path, capsys, argv, message):
+    # a value argparse accepts but the model cannot use is rejected naming
+    # its field, before anything is written
+    out = tmp_path / "out"
+    command, *flags = argv
+    if command == "fit":
+        _, _, train = fit_once(tmp_path, "fit")
+        capsys.readouterr()
+        flags += ["--data", train]
+    else:
+        flags = ["--p", "10", *flags]
+    assert run([command, *flags, "--out-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("order, code", [(40, 0), (700, 3)])
 def test_high_effect_order(tmp_path, order, code):
     # 0.3^700 underflows to 0: the fit stops with a numeric error naming the
@@ -380,7 +473,7 @@ def test_overflowing_data_exit_3(tmp_path, case):
     except subprocess.TimeoutExpired:
         pytest.fail("blqq fit did not return within 60 s")
     assert proc.returncode == 3, proc.stderr
-    assert "numeric failure" in proc.stderr
+    assert proc.stderr.count("numeric failure") == 1, proc.stderr
     # numpy's own overflow and invalid-value warnings would bury that line
     assert "encountered in" not in proc.stderr, proc.stderr
     assert not out.exists()
@@ -568,6 +661,10 @@ def test_replicate_small_grid(tmp_path):
     assert "rho0.85_p4_s0.25,blqq,rmse," in agg
     assert "rho0.85_p4_s0.25,smb,me," in agg
     assert "(incomplete)" not in agg
+    for f in ("losses_raw.csv", "losses_summary.csv"):
+        meta = [ln[1:] for ln in (out / f).read_text().splitlines() if ln.startswith("#")]
+        assert [m.split(":", 1)[0] for m in meta] == [*PROVENANCE, "replicates"], f
+        assert meta[3] == "thin: 1" and meta[-1] == "replicates: 2"
 
 
 def test_replicate_byte_identical_rerun(tmp_path):
@@ -627,3 +724,42 @@ def test_replicate_records_failures_and_continues(tmp_path, monkeypatch):
     raw = (out / "losses_raw.csv").read_text()
     assert "failed: numeric failure" in raw
     assert "(incomplete)" in (out / "losses_summary.csv").read_text()
+
+
+_FUZZ_CELLS = (0, 0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e-300, 1e300, -1e300,
+               1e154, -1e154, 1e-154, 5e-324, 1.7e308, -1.7e308)
+
+
+@st.composite
+def _fuzz_file(draw):
+    n, p = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    cell = st.sampled_from(_FUZZ_CELLS)
+    rows = [[repr(draw(cell)) for _ in range(p + 1)] + [str(draw(st.sampled_from((0, 1))))]
+            for _ in range(n)]
+    header = [f"x{j + 1}" for j in range(p)] + ["y", "z"]
+    return "\n".join(",".join(r) for r in [header, *rows]) + "\n", draw(
+        st.sampled_from(("blqq", "smb")))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_fuzz_file())
+def test_fuzz_fit_exit_codes(tmp_path_factory, case):
+    # any file of degenerate cells the parser accepts ends in exit 0, 2 or 3,
+    # never in an exception out of main, and a failed fit writes no chain
+    text, model = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data = tmp / "data.csv"
+    data.write_text(text)
+    out = tmp / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            code = run(["fit", "--data", data, "--out-dir", out, "--model", model,
+                        "--iterations", "60", "--burn-in", "10"])
+        except Exception as exc:
+            pytest.fail(f"{exc!r} left main on\n{text}")
+    assert code in (0, 2, 3), text
+    if code:
+        assert err.getvalue().startswith("error: "), text
+        assert not (out / "chain.csv").exists(), text

@@ -65,6 +65,8 @@ def test_chain_config_validation():
         ChainConfig(iterations=0)
     with pytest.raises(ValueError, match="no draw is stored"):
         ChainConfig(iterations=10, burn_in=5, thin=10)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        ChainConfig(seed=-3)
 
 
 def test_joint_log_likelihood_matches_quadrature():

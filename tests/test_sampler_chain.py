@@ -22,6 +22,23 @@ def default_setup(data):
     return EffectOrders(np.ones(data.p, dtype=int)), PriorConfig()
 
 
+@pytest.mark.parametrize("case, message", [
+    ("no-y", "both responses"), ("no-z", "both responses"),
+    ("one-order", "1 effect orders given for 3 columns"),
+    ("four-orders", "4 effect orders given for 3 columns")])
+def test_run_chain_checks_arguments(case, message):
+    # a dataset or orders that cannot be fit are invalid arguments, rejected
+    # before the start, not numeric failures deep in the chain
+    data = small_data(n=20)
+    orders = {"one-order": [1], "four-orders": [1, 1, 1, 1]}.get(case, [1, 1, 1])
+    if case == "no-y":
+        data = Dataset(data.X, None, data.z)
+    elif case == "no-z":
+        data = Dataset(data.X, data.y, None)
+    with pytest.raises(ValueError, match=message):
+        run_chain(data, EffectOrders(orders), PriorConfig(), ChainConfig(iterations=20, burn_in=5))
+
+
 def test_init_state_basics():
     data = small_data()
     state, hyper = init_state(data)

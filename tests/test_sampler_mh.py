@@ -48,7 +48,8 @@ def test_sigma2_kernel_matches_conjugate_at_rho_zero():
         state.sigma2 = val
         draws[t] = val
     dof = n + prior.sigma2_prior_dof
-    scale = (float(ws.phi @ ws.phi)
+    phi = ws.y - ws.X @ state.beta2
+    scale = (float(phi @ phi)
              + prior.sigma2_prior_dof * prior.sigma2_prior_scale) / dof
     exact_mean = dof * scale / (dof - 2.0)
     assert draws[5000:].mean() == pytest.approx(exact_mean, rel=0.02)
@@ -86,7 +87,8 @@ def _rho_log_post(rho, eta, phi, sigma2):
 def test_rho_kernel_matches_grid_posterior():
     state, ws = fixed_residual_setup(seed=3, n=80, rho=0.2, sigma2=2.0)
     grid = np.linspace(-0.999, 0.999, 4001)
-    logp = np.array([_rho_log_post(r, ws.eta, ws.phi, state.sigma2) for r in grid])
+    eta, phi = state.u - ws.X @ state.beta1, ws.y - ws.X @ state.beta2
+    logp = np.array([_rho_log_post(r, eta, phi, state.sigma2) for r in grid])
     w = np.exp(logp - logp.max())
     w /= w.sum()
     grid_mean = float(w @ grid)
@@ -134,12 +136,13 @@ def test_tau2_conjugate_closed_form():
     dof = 2.0 + 3.0
     scale = (quad + 2.0 * 2.0) / dof
     seed = 7
-    draw = sample_tau2(beta, orders, r, prior, np.random.default_rng(seed))
+    sums = _order_sums(beta, orders)
+    draw = sample_tau2(sums, orders, r, prior, np.random.default_rng(seed))
     q = np.random.default_rng(seed).chisquare(dof)
     assert draw == pytest.approx(dof * scale / q, rel=1e-12)
     # long-run mean dof*scale/(dof-2)
     rng = np.random.default_rng(8)
-    draws = np.array([sample_tau2(beta, orders, r, prior, rng) for _ in range(100_000)])
+    draws = np.array([sample_tau2(sums, orders, r, prior, rng) for _ in range(100_000)])
     assert draws.mean() == pytest.approx(dof * scale / (dof - 2.0), rel=0.05)
 
 
@@ -164,9 +167,10 @@ def test_r_kernel_matches_grid_posterior():
 
     rng = np.random.default_rng(9)
     cur = 0.3
+    sums = _order_sums(beta, eff)
     draws = np.empty(60_000)
     for t in range(draws.shape[0]):
-        cur, _ = sample_r_mh(beta, tau_sq, eff, prior, 0.8, rng, current=cur)
+        cur, _ = sample_r_mh(sums, tau_sq, eff, prior, 0.8, rng, current=cur)
         draws[t] = cur
     assert draws[5000:].mean() == pytest.approx(grid_mean, abs=0.02)
 
@@ -175,7 +179,8 @@ def test_r_kernel_validates_current():
     prior = PriorConfig()
     eff = EffectOrders([1])
     with pytest.raises(ValueError):
-        sample_r_mh(np.array([1.0]), 0.5, eff, prior, 0.5, np.random.default_rng(0), current=1.5)
+        sample_r_mh(_order_sums(np.array([1.0]), eff), 0.5, eff, prior, 0.5,
+                    np.random.default_rng(0), current=1.5)
 
 
 def test_kernels_accept_and_reject():
@@ -203,8 +208,8 @@ def test_kernels_survive_step_ceiling(kernel):
                    lambda v: v > 0.0),
         "rho": (lambda rng: sample_rho_mh(state, ws, 80.0, rng),
                 lambda v: -1.0 < v < 1.0),
-        "r": (lambda rng: sample_r_mh(np.array([0.5, -0.2]), 0.5, EffectOrders([1, 1]),
-                                      prior, 80.0, rng, current=0.3),
+        "r": (lambda rng: sample_r_mh(_order_sums(np.array([0.5, -0.2]), EffectOrders([1, 1])),
+                                      0.5, EffectOrders([1, 1]), prior, 80.0, rng, current=0.3),
               lambda v: 0.0 < v < 1.0),
     }
     move, in_support = moves[kernel]
@@ -302,7 +307,8 @@ def test_order_sums_match_power_forms():
     quad = float(np.sum(beta * beta / rpow))
     dof = prior.nu + beta.shape[0]
     q = np.random.default_rng(13).chisquare(dof)
-    assert sample_tau2(beta, eff, r, prior, np.random.default_rng(13)) == pytest.approx(
+    assert sample_tau2(_order_sums(beta, eff), eff, r, prior,
+                       np.random.default_rng(13)) == pytest.approx(
         (quad + prior.nu * prior.delta_sq) / q, rel=1e-14)
     order_sum = eff.order_sum
     assert order_sum == 8.0

@@ -49,7 +49,8 @@ def test_scenario_validates_sparsity():
 
 @pytest.mark.parametrize("field, value", [
     ("rho_true", 1.5), ("rho_true", -1.0), ("rho_true", float("nan")),
-    ("sigma2_true", 0.0), ("sigma2_true", -1.0), ("sigma2_true", float("nan"))])
+    ("sigma2_true", 0.0), ("sigma2_true", -1.0), ("sigma2_true", float("nan")),
+    ("sparsity", 1.5), ("sparsity", -0.2), ("sparsity", float("nan")), ("base_seed", -1)])
 def test_scenario_validates_rho_and_sigma2(field, value):
     with pytest.raises(ValueError, match=field):
         SimulationScenario(p=10, **{field: value})

@@ -19,7 +19,7 @@ from scipy import special
 _TAIL_SWITCH = 5.0
 _TINY = float(np.finfo(float).tiny)
 _SQRT2 = math.sqrt(2.0)
-_NDTRI = statistics.NormalDist().inv_cdf
+_NDTRI = statistics._normal_dist_inv_cdf      # (p, mu, sigma), no range check
 
 
 def _pow2_scaled(x, axis=None):
@@ -49,7 +49,10 @@ def _trunc_std_lower(alpha: float, gen: np.random.Generator) -> float:
     inf, so those raise."""
     if not alpha < math.inf:
         raise FloatingPointError(f"truncation point {alpha} is not finite")
-    lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0))
+    # The optimal rate (alpha + sqrt(alpha^2 + 4)) / 2 rounds to alpha itself
+    # from alpha ~ 1e8 on; beyond 1e154 alpha^2 would overflow to a rate of
+    # inf, at which no proposal is ever accepted.
+    lam = 0.5 * (alpha + math.sqrt(alpha * alpha + 4.0)) if alpha < 1e150 else alpha
     while True:
         x = alpha + gen.exponential(1.0 / lam)
         diff = x - lam
@@ -57,33 +60,33 @@ def _trunc_std_lower(alpha: float, gen: np.random.Generator) -> float:
             return x
 
 
-def _draw_halfline(m: float, v: float, nonnegative: bool, uni: float,
-                   gen: np.random.Generator) -> float:
-    """One draw of N(m, v) restricted to [0, inf), or to (-inf, 0) when
-    nonnegative is False; the latent sweep calls this once per observation.
+def _draw_halfline(m: float, t: float, uni: float, gen: np.random.Generator) -> float:
+    """One draw of N(m, t^2) restricted to [0, inf) where the signed standard
+    deviation t is positive, or to (-inf, 0) where it is negative; the latent
+    sweep calls this once per observation.
 
-    With alpha the standardized truncation point, a standard normal x >= alpha
-    is drawn by the inverse CDF on the upper-tail mass Phi(-alpha), which
-    consumes uni (a uniform on [0, 1), replaced from gen if it is exactly 0),
-    or for alpha >= _TAIL_SWITCH by _trunc_std_lower, which leaves uni unused.
-    The inverse-CDF branch runs on math.erfc and NormalDist.inv_cdf, C
-    functions about twice as fast per scalar call as scipy's ndtr and ndtri.
+    With alpha = -m/t the standardized truncation point, a standard normal
+    x >= alpha is drawn by the inverse CDF on the upper-tail mass Phi(-alpha),
+    which consumes uni (a uniform on [0, 1), replaced from gen if it is exactly
+    0), or for alpha >= _TAIL_SWITCH by _trunc_std_lower, which leaves uni
+    unused; the draw is m + t x. Negating t negates alpha and t x exactly,
+    so a draw on (-inf, 0) is bit for bit the mirror image of one on
+    [0, inf) at mean -m. The inverse-CDF branch runs on math.erfc and the C
+    function behind NormalDist.inv_cdf, called past a range check it cannot
+    fail here (uni in (0, 1), the mass in (0, 1]).
     """
-    sd = math.sqrt(v)
-    alpha = -m / sd if nonnegative else m / sd
+    alpha = -m / t
     if alpha < _TAIL_SWITCH:
         while uni <= 0.0:
             uni = gen.random()
-        x = -_NDTRI(uni * 0.5 * math.erfc(alpha / _SQRT2))
+        val = m - t * _NDTRI(uni * 0.5 * math.erfc(alpha / _SQRT2), 0.0, 1.0)
     else:
-        x = _trunc_std_lower(alpha, gen)
-    # Mirror: X < 0 under N(m, v) <=> -X >= 0 under N(-m, v). Rounding can
-    # carry a draw just past 0 when x lies within ulps of alpha (uni near 1),
-    # and an exact 0 is outside the open half-line: both are put back.
-    if nonnegative:
-        val = m + sd * x
+        val = m + t * _trunc_std_lower(alpha, gen)
+    # Rounding can carry a draw just past 0 when x lies within ulps of alpha
+    # (uni near 1), and an exact 0 is outside the open half-line: both are
+    # put back.
+    if t > 0.0:
         return val if val >= 0.0 else 0.0
-    val = m - sd * x
     return val if val < 0.0 else -_TINY
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -95,28 +96,32 @@ def fsl(selected, true_support):
     return fp, fn, fp + fn
 
 
-def acf(chain, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations for lags 0..max_lag (lag 0 is 1)."""
-    chain = np.asarray(chain, dtype=float)
+def _autocorrelations(chain):
+    """Yield the sample autocorrelations of chain at lags 1, 2, ... up to
+    n - 1, each computed only when asked for (all 0 for a constant chain)."""
     n = chain.shape[0]
-    if n < 2 * max_lag:
-        raise ValueError("need at least 2 * max_lag draws")
     chain, _ = _pow2_scaled(chain)      # the ratios are scale-free
     centered = chain - chain.mean()
     c0 = float(centered @ centered) / n
-    if c0 == 0.0:
-        out = np.zeros(max_lag + 1)
-        out[0] = 1.0
-        return out
+    for k in range(1, n):
+        yield 0.0 if c0 == 0.0 else float(centered[:-k] @ centered[k:]) / n / c0
+
+
+def acf(chain, max_lag: int) -> np.ndarray:
+    """Sample autocorrelations for lags 0..max_lag (lag 0 is 1)."""
+    chain = np.asarray(chain, dtype=float)
+    if chain.shape[0] < 2 * max_lag:
+        raise ValueError("need at least 2 * max_lag draws")
     out = np.empty(max_lag + 1)
     out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        out[k] = float(centered[:-k] @ centered[k:]) / n / c0
+    out[1:] = list(islice(_autocorrelations(chain), max_lag))
     return out
 
 
 def effective_sample_size(chain) -> float:
-    """ESS via Geyer's initial-positive-sequence truncation of the ACF sum.
+    """ESS via Geyer's initial-positive-sequence truncation of the ACF sum,
+    over lags up to min(n/2 - 1, 1000); the autocorrelations are computed
+    only up to the lag where the truncation stops.
 
     A zero-variance chain is reported as degenerate (ESS 1.0) with a warning
     rather than an error.
@@ -129,12 +134,12 @@ def effective_sample_size(chain) -> float:
         warnings.warn("constant chain: effective sample size is degenerate", RuntimeWarning)
         return 1.0
     max_lag = min(n // 2 - 1, 1000)
-    rho = acf(chain, max_lag)
+    rho = _autocorrelations(chain)
     # Sum consecutive-lag pairs while their sum stays positive.
     tau = 1.0
     m = 1
     while m + 1 <= max_lag:
-        pair = rho[m] + rho[m + 1]
+        pair = next(rho) + next(rho)
         if pair <= 0.0:
             break
         tau += 2.0 * pair

@@ -13,7 +13,10 @@ refresh of the right-hand statistic after each u_i to a p-vector
 accumulator, which the sweep advances a block of _BLOCK rows at a time:
 within a block each row reads the accumulator through the lower triangle of
 the block's kernel, at O(rows so far in the block) per row instead of O(p).
-The half-line draw itself is distributions._draw_halfline.
+The zero-padded blocks of X that this reads are laid out once per chain, by
+SamplerWorkspace.build. Each row reads three floats, u_i, its uniform and
+the signed standard deviation that distributions._draw_halfline takes, whose
+sign is the half-line z_i dictates.
 
 The beta full conditional factors its precision A = LL' with LAPACK dpotrf
 and inverts the factor with dtrtri; no dense covariance is formed. It checks
@@ -121,14 +124,24 @@ class SamplerWorkspace:
     xty: np.ndarray             # X'y
     xtu: np.ndarray             # X'u, maintained incrementally during sweeps
     quads: tuple = field(init=False)        # _residual_quads(u - X beta1, y - X beta2)
+    # [X, 0] padded with zero rows to whole blocks of _BLOCK rows, as the
+    # sweep reads it: the rows of each block (the last block ragged, cut at
+    # n) and every block transposed, shape (n_blocks, p + 1, _BLOCK)
+    x_blocks: list = field(init=False)
+    x_blocks_t: np.ndarray = field(init=False)
     loo_fallbacks: int = 0
 
     @classmethod
     def build(cls, data: Dataset, state: ParameterState) -> "SamplerWorkspace":
         X, y = data.X, data.y
+        n, p = X.shape
         with np.errstate(over="ignore", invalid="ignore"):   # _check_conditioning names it
             ws = cls(X=X, y=y, z=data.z, gram=X.T @ X, xty=X.T @ y, xtu=X.T @ state.u)
             ws.refresh_residuals(state)
+        Xp = np.zeros((-(-n // _BLOCK) * _BLOCK, p + 1))
+        Xp[:n, :p] = X
+        ws.x_blocks = [Xp[i0:min(i0 + _BLOCK, n)] for i0 in range(0, n, _BLOCK)]
+        ws.x_blocks_t = Xp.reshape(-1, _BLOCK, p + 1).transpose(0, 2, 1)
         return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
@@ -192,11 +205,12 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.empty((2 * p, 2 * p))
         A[:p, :p] = k11 * ws.gram
-        A[:p, :p][np.diag_indices(p)] += 1.0 / v1
         A[p:, p:] = k22 * ws.gram
-        A[p:, p:][np.diag_indices(p)] += 1.0 / v2
         A[:p, p:] = k12 * ws.gram
         A[p:, :p] = A[:p, p:].T
+        diag = A.reshape(-1)[::2 * p + 1]          # a view of A's diagonal
+        diag[:p] += 1.0 / v1
+        diag[p:] += 1.0 / v2
 
         L, info = lapack.dpotrf(A, lower=1)
         try:        # a refusal carries the failed factorization as its context
@@ -213,12 +227,13 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
         # factor 1/2 keeps rounding in the bound and in eigvalsh from flipping
         # a verdict at the limit.
         bound = 2 * p * float(np.dot(np.diag(A), np.einsum("ij,ij->j", Linv, Linv)))
+        mu_beta = _beta_mean(Linv, _statistic(ws, sigma2, rho))
     if not bound <= 0.5 * _COND_LIMIT:       # also where bound is nan
         _check_conditioning(A)
 
     W = Linv[:, :p] - (rho / s) * Linv[:, p:]          # L^-1 E
     return FullConditionalBeta(
-        mu_beta=_beta_mean(Linv, _statistic(ws, sigma2, rho)),
+        mu_beta=mu_beta,
         chol_inv=Linv,
         sweep_kernel=W.T @ W,
         precision=A,
@@ -251,15 +266,20 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     d_i = R_i x_i and q_i = 1/(1 - c d_i) (0 on fallback rows), the closed form
     is m_i = w y_i + q_i (a_i - c d_i (u_i - w y_i)) + c q_i R_i g and
     v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2), all but the last term of m_i
-    formed as vectors once per sweep. The rows go in blocks of _BLOCK: with
+    formed as vectors once per sweep, and v_i as the signed standard
+    deviation sd_i = +-sqrt(v_i), positive where z_i = 1, that the half-line
+    draw takes; sd_i = 0 marks a fallback row, whose sd_i comes from the
+    downdated precision. The rows go in blocks of _BLOCK: with
     [c q_i R_i, base_i] as row i and [g_B; 1] as the accumulator at a block's
     start, one product gives every row's base, and the k-th row adds
     sum_{l<k} K_kl delta_l from the block kernel K = (c q R_B) X_B'. Only the
     strict lower triangles of the kernels are kept, as one list per sweep
     read through one iterator, from which row k takes exactly its k entries,
     so the loop, which runs on Python floats, does O(k) work per row instead
-    of O(p). g_B += X_B' delta_B closes a block. The uniforms of the
-    half-line draws come from one batch.
+    of O(p). g_B += X_B' delta_B closes a block; the blocks of X, zero-padded
+    to _BLOCK rows, come from ws. The uniforms of the half-line draws come
+    from one batch. Overflow in the vectors or the fallback, on degenerate
+    data, is not warned about: the numeric failure it leads to is named.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -268,55 +288,61 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     w = rho / math.sqrt(sigma2)
     one_m = 1.0 - rho * rho
     c = 1.0 / one_m
+    draw = _draw_halfline                             # the module global at call time
 
-    R = X @ fc.sweep_kernel
-    d = np.einsum("ij,ij->i", R, X)                   # b_i' Sigma_beta b_i
-    denom = 1.0 - c * d
-    q = np.zeros(n)                                   # 1/denom, 0 on fallback rows
-    np.divide(1.0, denom, out=q, where=~(denom < _DENOM_FLOOR))
-    v = np.maximum(d * q + one_m, one_m)
-    wy = w * y
-    a = X @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
-    uni = gen.random(n)
+    with np.errstate(over="ignore", invalid="ignore"):     # see the docstring's last line
+        # [c q_i R_i, base_i], padded with zero rows to whole blocks
+        Rp = np.zeros((len(ws.x_blocks) * _BLOCK, p + 1))
+        R = np.matmul(X, fc.sweep_kernel, out=Rp[:n, :p])
+        d = np.einsum("ij,ij->i", R, X)               # b_i' Sigma_beta b_i
+        denom = 1.0 - c * d
+        q = np.zeros(n)                               # 1/denom, 0 on fallback rows
+        np.divide(1.0, denom, out=q, where=~(denom < _DENOM_FLOOR))
+        sd = np.sqrt(np.maximum(d * q + one_m, one_m))
+        sd = np.where(z == 1, sd, -sd)                # signed by the half-line, 0 on fallback rows
+        sd[q == 0.0] = 0.0
+        wy = w * y
+        a = X @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
+        Rp[:n, p] = wy + q * (a - c * d * (u - wy))
+        R *= (c * q)[:, None]
+        RB = Rp.reshape(-1, _BLOCK, p + 1)
+        kern = iter(np.matmul(RB, ws.x_blocks_t)[:, _BELOW[0], _BELOW[1]].ravel().tolist())
+        uni = gen.random(n)
 
-    # [c q_i R_i, base_i] and [x_i, 0], padded with zero rows to whole blocks
-    n_blocks = -(-n // _BLOCK)
-    Rp = np.zeros((n_blocks * _BLOCK, p + 1))
-    Rp[:n, :p] = (c * q)[:, None] * R
-    Rp[:n, p] = wy + q * (a - c * d * (u - wy))
-    Xp = np.zeros((n_blocks * _BLOCK, p + 1))
-    Xp[:n, :p] = X
-    XB = Xp.reshape(n_blocks, _BLOCK, p + 1)
-    RB = Rp.reshape(n_blocks, _BLOCK, p + 1)
-    kern = iter(np.matmul(RB, XB.transpose(0, 2, 1))[:, _BELOW[0], _BELOW[1]].ravel().tolist())
-
-    ul = []
-    gA = np.zeros(p + 1)                              # [g; 1]
-    gA[p] = 1.0
-    rows = zip(u.tolist(), q.tolist(), v.tolist(), (z == 1).tolist(), uni.tolist())
-    for i0, Xb, Rb in zip(range(0, n, _BLOCK), XB, RB):
-        deltas = []
-        # base runs out with the block, before rows is advanced
-        for base, (ui, qi, vi, nonneg, unif) in zip((Rb @ gA).tolist(), rows):
-            # map stops at deltas first, so row k takes its k kernel entries;
-            # fallback rows take theirs too, which keeps kern in step
-            m = base + sum(map(mul, deltas, kern))
-            if qi == 0.0:
-                ws.loo_fallbacks += 1
-                k = len(deltas)
-                g = gA[:p] + Xb[:k, :p].T @ np.array(deltas)
-                xk = Xb[k, :p]
-                b = np.concatenate((xk, -w * xk))
-                t = _statistic(ws, sigma2, rho) + c * np.concatenate((g, -w * g))
-                sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-                wyi = float(wy[i0 + k])
-                mu_mi = sigma_mi @ (t - (c * (ui - wyi)) * b)
-                m = wyi + float(b @ mu_mi)
-                vi = max(float(b @ sigma_mi @ b) + one_m, one_m)
-            un = _draw_halfline(m, vi, nonneg, unif, gen)
-            deltas.append(un - ui)
-            ul.append(un)
-        gA += np.dot(deltas, Xb[:len(deltas)])
+        ul = []
+        gA = np.zeros(p + 1)                          # [g; 1]
+        gA[p] = 1.0
+        uu, sds, unis = u.tolist(), sd.tolist(), uni.tolist()
+        for i0, Xb, Rb in zip(range(0, n, _BLOCK), ws.x_blocks, RB):
+            i1 = i0 + _BLOCK
+            deltas = []
+            for base, ui, sdi, unif in zip((Rb @ gA).tolist(), uu[i0:i1], sds[i0:i1], unis[i0:i1]):
+                # map stops at deltas first, so row k takes its k kernel
+                # entries; fallback rows take theirs too, which keeps kern in step
+                m = base + sum(map(mul, deltas, kern))
+                if sdi == 0.0:
+                    ws.loo_fallbacks += 1
+                    k = len(deltas)
+                    g = gA[:p] + Xb[:k, :p].T @ np.array(deltas)
+                    xk = Xb[k, :p]
+                    b = np.concatenate((xk, -w * xk))
+                    stat = _statistic(ws, sigma2, rho) + c * np.concatenate((g, -w * g))
+                    try:
+                        sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
+                    except np.linalg.LinAlgError as exc:
+                        raise np.linalg.LinAlgError(
+                            f"singular downdated precision in the leave-one-out fallback "
+                            f"at row {i0 + k + 1}") from exc
+                    wyi = float(wy[i0 + k])
+                    mu_mi = sigma_mi @ (stat - (c * (ui - wyi)) * b)
+                    m = wyi + float(b @ mu_mi)
+                    sdi = math.sqrt(max(float(b @ sigma_mi @ b) + one_m, one_m))
+                    if z[i0 + k] != 1:
+                        sdi = -sdi
+                un = draw(m, sdi, unif, gen)
+                deltas.append(un - ui)
+                ul.append(un)
+            gA += np.dot(deltas, Xb)
     u[:] = ul
     ws.xtu += gA[:p]
     return u
@@ -508,8 +534,10 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     sweep_tic = time.perf_counter()
     sample_u_sweep(state, fc, ws, rngs["u"])
     sweep_toc = time.perf_counter()
-    xtu_ref = ws.X.T @ state.u
-    if np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite X'u fails downstream
+        xtu_ref = ws.X.T @ state.u
+        drifted = np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0)
+    if drifted:
         raise RuntimeError("incremental X'u statistic drifted")
     ws.xtu = xtu_ref
     fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))

@@ -11,6 +11,8 @@ beta precision whose verdicts compute_beta_full_conditional must keep.
 halfline_draws takes many draws of the sweep's own half-line sampler, and
 cross_quad is the residual form the sigma^2 and rho targets must reproduce.
 """
+import math
+
 import numpy as np
 from scipy import integrate, special, stats
 
@@ -94,10 +96,10 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None, move=False):
     step = 0.3 if move else 0.0
     seen = []
 
-    def record(m, v, nonnegative, uni, gen):
-        seen.append((m, v))
+    def record(m, t, uni, gen):
+        seen.append((m, t * t))
         ui = u0[len(seen) - 1]
-        return ui + step if nonnegative else ui - step
+        return ui + step if t > 0 else ui - step
 
     saved = sampler_mod._draw_halfline, sampler_mod._DENOM_FLOOR
     sampler_mod._draw_halfline = record
@@ -113,9 +115,10 @@ def sweep_loo_moments(state, fc, ws, denom_floor=None, move=False):
 
 def halfline_draws(mean, var, nonnegative, gen, n):
     """n draws of N(mean, var) on the half-line, made as the sweep makes them:
-    distributions._draw_halfline on one batch of n uniforms."""
-    return np.array([_draw_halfline(mean, var, nonnegative, uni, gen)
-                     for uni in gen.random(n).tolist()])
+    distributions._draw_halfline, with the signed standard deviation, on one
+    batch of n uniforms."""
+    t = math.sqrt(var) if nonnegative else -math.sqrt(var)
+    return np.array([_draw_halfline(mean, t, uni, gen) for uni in gen.random(n).tolist()])
 
 
 def scaled_condition(gram, sigma2, rho, v1, v2):

@@ -448,6 +448,9 @@ def _overflow_lines(case):
     if case == "tail-hang":
         return ["x1,y,z", "-7.219059119776026e+18,-3.6896464665875155e+299,1",
                 "-1.7779053892097484e+20,-2.2109122000117825e+300,1"]
+    if case == "huge-truncation":       # a finite truncation point beyond 1e154
+        return ["x1,x2,y,z", "1e+154,1e-300,1e-154,0", "1e-300,3.0,0,0",
+                "5e-324,0,-1e-300,0", "1.0,0.5,-1e+154,0"]
     rng = np.random.default_rng(21)
     X = rng.standard_normal((30, 3))
     y = X @ [1.0, 0.5, 0.0] + rng.standard_normal(30)
@@ -457,7 +460,7 @@ def _overflow_lines(case):
                                for (a, b, c), yi, zi in zip(X.tolist(), y.tolist(), z)]
 
 
-@pytest.mark.parametrize("case", ["tail-hang", "x-times-1e200", "y-times-1e200"])
+@pytest.mark.parametrize("case", ["tail-hang", "huge-truncation", "x-times-1e200", "y-times-1e200"])
 def test_overflowing_data_exit_3(tmp_path, case):
     # squares of these inputs overflow, so the start or the beta precision is
     # not finite; the fit must stop as a numeric failure with nothing written,
@@ -477,6 +480,34 @@ def test_overflowing_data_exit_3(tmp_path, case):
     # numpy's own overflow and invalid-value warnings would bury that line
     assert "encountered in" not in proc.stderr, proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model,rows,message", [
+    # the fallback's downdated precision is singular at row 4
+    ("smb", ["0.0,3.0,0", "0.5,1e-154,0", "5e-324,1e154,0", "1e154,-1e154,0"],
+     "at iteration 1: singular downdated precision in the leave-one-out fallback at row 4"),
+    # the statistic, the beta mean and the sweep's w y overflow on the way
+    ("blqq", ["1.0,-1.7e308,1", "0.0,1e-300,0"],
+     "at iteration 1: truncation point nan is not finite"),
+    # the fallback's products and the X'u drift check overflow on the way
+    ("blqq", ["0.5,1e-154,-1e154,0", "1.0,1e-300,-1.0,1", "5e-324,5e-324,-1e154,0",
+              "1e154,-1.0,-1e154,1"],
+     "at iteration 2: truncation point inf is not finite"),
+], ids=["fallback-singular", "nan-truncation", "fallback-overflow"])
+def test_numeric_failure_in_the_sweep_is_named(tmp_path, capsys, model, rows, message):
+    # degenerate files that fail in the u-sweep exit 3 with one line naming
+    # the failure, write no chain, and let numpy warn about nothing on the way
+    p = rows[0].count(",") - 1
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([",".join([f"x{j + 1}" for j in range(p)] + ["y", "z"]), *rows]) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["fit", "--data", data, "--out-dir", out, "--model", model,
+                    "--iterations", "60", "--burn-in", "10"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: numeric failure {message}\n"
+    assert not (out / "chain.csv").exists()
 
 
 def _degenerate_lines(case):

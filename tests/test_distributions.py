@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import mpmath
 import numpy as np
@@ -7,7 +8,9 @@ from scipy import special, stats
 
 import oracles
 from blqq.distributions import (
+    _SQRT2,
     _TAIL_SWITCH,
+    _TINY,
     _draw_halfline,
     _trunc_std_lower,
     inverse_mills,
@@ -99,7 +102,19 @@ def test_trunc_std_lower_rejects_non_finite_truncation(alpha):
         _trunc_std_lower(alpha, gen)
     # a nan mean reaches the tail helper through the half-line draw
     with pytest.raises(FloatingPointError, match="not finite"):
-        _draw_halfline(math.nan, 1.0, alpha > 0, 0.5, gen)
+        _draw_halfline(math.nan, 1.0 if alpha > 0 else -1.0, 0.5, gen)
+
+
+@pytest.mark.parametrize("alpha", [1e150, 1e154, 1e300, 1.7e308])
+def test_trunc_std_lower_accepts_at_huge_truncation(alpha):
+    # where alpha^2 overflows the rejection rate must not become inf, at
+    # which no proposal is accepted; the draw lies at alpha, to rounding
+    gen = _BoundedGenerator(np.random.default_rng(3))
+    x = _trunc_std_lower(alpha, gen)
+    assert alpha <= x < alpha * (1 + 1e-15)
+    # the half-line draw reaches it with a huge mean on the far side
+    assert _draw_halfline(alpha, -1.0, 0.5, gen) < 0.0
+    assert _draw_halfline(-alpha, 1.0, 0.5, gen) >= 0.0
 
 
 # uniforms from the smallest gen.random() can return to the largest
@@ -115,10 +130,10 @@ def test_halfline_draw_matches_scipy_inverse_cdf(sd):
     worst = 0.0
     for alpha in np.linspace(-40.0, _TAIL_SWITCH, 226)[:-1].tolist():
         x_ref = -special.ndtri(np.array(_UNIS) * special.ndtr(-alpha))
-        for sign, nonnegative in ((1.0, True), (-1.0, False)):
+        for sign in (1.0, -1.0):
             m = -sign * alpha * sd
             for uni, x in zip(_UNIS, x_ref.tolist()):
-                draw = _draw_halfline(m, sd * sd, nonnegative, uni, gen)
+                draw = _draw_halfline(m, sign * sd, uni, gen)
                 worst = max(worst, abs(draw - (m + sign * sd * x)) / (abs(m) + sd * abs(x)))
     assert worst <= 1e-12
 
@@ -132,10 +147,61 @@ def test_halfline_draw_stays_on_its_side():
     outside = 0
     for m in rng.uniform(-30.0, 30.0, 2000).tolist():
         for v in (1e-4, 0.3, 1.0, 7.0):
+            sd = math.sqrt(v)
             for uni in unis:
-                outside += _draw_halfline(m, v, True, uni, gen) < 0.0
-                outside += _draw_halfline(m, v, False, uni, gen) >= 0.0
+                outside += _draw_halfline(m, sd, uni, gen) < 0.0
+                outside += _draw_halfline(m, -sd, uni, gen) >= 0.0
     assert outside == 0
+
+
+def _draw_side_flag(m, v, nonnegative, uni, gen):
+    """The half-line draw as it took (m, v, side) before it took the signed
+    standard deviation: the reference the signed form must equal bit for bit."""
+    sd = math.sqrt(v)
+    alpha = -m / sd if nonnegative else m / sd
+    if alpha < _TAIL_SWITCH:
+        while uni <= 0.0:
+            uni = gen.random()
+        x = -statistics.NormalDist().inv_cdf(uni * 0.5 * math.erfc(alpha / _SQRT2))
+    else:
+        x = _trunc_std_lower(alpha, gen)
+    if nonnegative:
+        val = m + sd * x
+        return val if val >= 0.0 else 0.0
+    val = m - sd * x
+    return val if val < 0.0 else -_TINY
+
+
+def test_signed_sd_draw_equals_side_flag_form():
+    # both half-lines, alpha over [-40, 5), at the switch and just below it,
+    # the Robert tail beyond it, and uni = 0, which is replaced from gen: the
+    # same bits and the same variates taken from gen
+    alphas = np.linspace(-40.0, _TAIL_SWITCH, 161)[:-1].tolist()
+    alphas += [math.nextafter(_TAIL_SWITCH, 0.0), _TAIL_SWITCH, 5.5, 8.0, 30.0]
+    seed = 0
+    for v in (1e-6, 0.09, 1.0, 2.7, 1e4):
+        sd = math.sqrt(v)
+        for alpha in alphas:
+            for nonnegative in (True, False):
+                m = -alpha * sd if nonnegative else alpha * sd
+                for uni in [0.0] + _UNIS:
+                    seed += 1
+                    ga, gb = np.random.default_rng(seed), np.random.default_rng(seed)
+                    want = _draw_side_flag(m, v, nonnegative, uni, ga)
+                    got = _draw_halfline(m, sd if nonnegative else -sd, uni, gb)
+                    assert got.hex() == want.hex(), (m, v, nonnegative, uni)
+                    assert ga.random() == gb.random()
+
+
+def test_inverse_cdf_without_range_check_equals_normal_dist():
+    # the draw calls the C function behind NormalDist.inv_cdf directly, past
+    # a range check that p in (0, 1) always passes
+    ps = [2.0 ** -k for k in range(1, 1075)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+    ps += np.random.default_rng(15).random(2000).tolist()
+    ps += [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for p in ps:
+        assert statistics._normal_dist_inv_cdf(p, 0.0, 1.0).hex() == inv_cdf(p).hex(), p
 
 
 def test_scaled_inv_chi2_mean():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from blqq.distributions import _pow2_scaled
 from blqq.metrics import (
     acf,
     effective_sample_size,
@@ -133,6 +134,51 @@ def test_ess_constant_chain_degenerate():
 def test_ess_needs_enough_draws():
     with pytest.raises(ValueError):
         effective_sample_size(np.arange(50.0))
+
+
+def _ess_all_lags(chain):
+    """ESS as effective_sample_size took it before it stopped at Geyer's
+    truncation: every autocorrelation up to max_lag = min(n/2 - 1, 1000),
+    then the sum of the positive leading pairs. Returns (ESS, the lag m at
+    which the sum stopped)."""
+    n = chain.shape[0]
+    max_lag = min(n // 2 - 1, 1000)
+    scaled, _ = _pow2_scaled(chain)
+    centered = scaled - scaled.mean()
+    c0 = float(centered @ centered) / n
+    rho = [1.0] + [float(centered[:-k] @ centered[k:]) / n / c0 for k in range(1, max_lag + 1)]
+    tau, m = 1.0, 1
+    while m + 1 <= max_lag:
+        pair = rho[m] + rho[m + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+        m += 2
+    return float(min(max(n / tau, 1.0), n)), m, max_lag, np.array(rho)
+
+
+def test_ess_stops_where_geyer_stops():
+    # ESS and acf read the autocorrelations lazily, up to the lag the ESS
+    # truncation reaches; the values equal the all-lags formula exactly, on
+    # chains whose truncation stops early and on one (a random walk) whose
+    # positive pairs run to max_lag
+    rng = np.random.default_rng(16)
+    chains = [rng.standard_normal(100), rng.standard_normal(601)]
+    for phi, n in ((0.5, 600), (0.9, 9000), (0.99, 2500)):
+        eps = rng.standard_normal(n)
+        chain = np.empty(n)
+        chain[0] = eps[0]
+        for t in range(1, n):
+            chain[t] = phi * chain[t - 1] + eps[t]
+        chains.append(chain)
+    chains += [np.cumsum(np.random.default_rng(3).standard_normal(3000)), 1e300 * chains[2]]
+    reached = 0
+    for chain in chains:
+        ess, m, max_lag, rho = _ess_all_lags(chain)
+        reached += m + 1 > max_lag
+        assert effective_sample_size(chain) == ess
+        assert acf(chain, max_lag).tobytes() == rho.tobytes()
+    assert reached == 1
 
 
 @pytest.mark.parametrize("k", [-600, 600, 1000])

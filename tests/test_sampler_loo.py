@@ -130,6 +130,7 @@ _BLOCK = sampler_mod._BLOCK
 
 @pytest.mark.parametrize("seed,n,p,with_fallback", [
     (14, _BLOCK - 3, 3, False),             # one short block
+    (20, _BLOCK, 3, False),                 # exactly one whole block
     (15, 2 * _BLOCK + 3, 4, False),         # a ragged last block
     (16, 2 * _BLOCK + 3, 4, True),          # the fallback fires in mid-block
 ])

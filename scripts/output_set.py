@@ -13,6 +13,10 @@ command at fixed seeds:
 - predict with the blqq fit on 2000 test rows from a second simulate, so that
   rows x stored draws (2000 x 500) spans several of predict_draws' row blocks;
 - replicate at p=30 with 2 replicates, 600 iterations;
+- fit of high_leverage.csv, which this script writes: 60 rows whose x2 is
+  0 except 1e6 at row 18 (from 0), so that row's leave-one-out moments come
+  from the sweep's fallback on every scan (diagnostics.csv reads
+  loo_fallbacks 600), 600 iterations;
 - scripts/run_case_study.py with one split, 300 iterations, writing its
   chain and splits.csv.
 
@@ -33,6 +37,8 @@ import math
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 
 def _cell_diff(a, b):
@@ -90,6 +96,21 @@ def compare(before, after):
     return status
 
 
+def write_high_leverage(path):
+    """60 rows of x1, x2, y, z from seed 5: x1 standard normal, x2 = 0 except
+    1e6 at row 18, y = 1.5 x1 + N(0, 1), z = 1{x1 + N(0, 1) > 0}."""
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(60)
+    x2 = np.zeros(60)
+    x2[18] = 1e6
+    y = 1.5 * x1 + rng.standard_normal(60)
+    z = (x1 + rng.standard_normal(60) > 0).astype(int)
+    with open(path, "w") as f:
+        f.write("x1,x2,y,z\n")
+        f.writelines(f"{a!r},{b!r},{c!r},{d}\n" for a, b, c, d
+                     in zip(x1.tolist(), x2.tolist(), y.tolist(), z.tolist()))
+
+
 def main():
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(compare(*sys.argv[2:]))
@@ -131,6 +152,9 @@ def main():
          "--out", os.path.join(out, "predict_blqq_wide.csv"))
     blqq("replicate", "--p", 30, "--replicates", 2, *chain,
          "--out-dir", os.path.join(out, "replicate"))
+    leverage = os.path.join(out, "high_leverage.csv")
+    write_high_leverage(leverage)
+    blqq("fit", "--data", leverage, *chain, "--out-dir", os.path.join(out, "fit_leverage"))
     run(os.path.join(checkout, "scripts", "run_case_study.py"), "--splits", 1,
         "--iterations", 300, "--burn-in", 100, "--out-dir", os.path.join(out, "case_study"))
     n_files = sum(len(files) for _, _, files in os.walk(out))

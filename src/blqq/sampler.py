@@ -5,18 +5,19 @@ u_i from its leave-one-out truncated normal. Because the error precision
 factorizes as a 2x2 matrix kroneckered with the identity, removing
 observation i from the u-equation is a rank-one downdate of the full-data
 full conditional of beta with scalars c = 1/(1-rho^2) and
-b_i = [x_i; -(rho/sigma) x_i]. The sweep evaluates the leave-one-out moments
-(m_i, v_i) of u_i from that downdate in closed form, with no n-sized matrix
-ever formed, and falls back to inverting the downdated 2p x 2p precision when
-the shortcut's denominator degenerates. The same structure reduces the
-refresh of the right-hand statistic after each u_i to a p-vector
-accumulator, which the sweep advances a block of _BLOCK rows at a time:
-within a block each row reads the accumulator through the lower triangle of
-the block's kernel, at O(rows so far in the block) per row instead of O(p).
-The zero-padded blocks of X that this reads are laid out once per chain, by
-SamplerWorkspace.build. Each row reads three floats, u_i, its uniform and
-the signed standard deviation that distributions._draw_halfline takes, whose
-sign is the half-line z_i dictates.
+b_i = [x_i; -(rho/sigma) x_i]. The same structure reduces the refresh of the
+right-hand statistic after each u_i to a p-vector accumulator g, and every
+leave-one-out mean m_i is linear in it. So the sweep forms each row's
+intercept, coefficient row and variance before it draws any: in closed form
+from that downdate, with no n-sized matrix ever formed, or, on a row where
+the shortcut's denominator degenerates, by inverting the downdated 2p x 2p
+precision. The draws then run one formula for every row, and advance g a
+block of _BLOCK rows at a time: within a block each row reads the
+accumulator through the lower triangle of the block's kernel, at O(rows so
+far in the block) per row instead of O(p). The zero-padded blocks of X that
+this reads are laid out once per chain, by SamplerWorkspace.build. Each row
+reads three floats, u_i, its uniform and the signed standard deviation that
+distributions._draw_halfline takes, whose sign is the half-line z_i dictates.
 
 The beta full conditional factors its precision A = LL' with LAPACK dpotrf
 and inverts the factor with dtrtri; no dense covariance is formed. It checks
@@ -74,7 +75,8 @@ def _order_sums(beta, orders: EffectOrders):
     """[(k, S_k)] for each distinct effect order k, S_k the sum of beta_j^2
     over the columns j of order k: all the hyper moves read of beta."""
     beta = np.asarray(beta, dtype=float)
-    sums = np.bincount(orders.group, weights=beta * beta, minlength=len(orders.levels))
+    with np.errstate(over="ignore"):      # an overflowed S_k is named as a prior variance
+        sums = np.bincount(orders.group, weights=beta * beta, minlength=len(orders.levels))
     return list(zip(orders.levels, sums.tolist()))
 
 
@@ -145,7 +147,9 @@ class SamplerWorkspace:
         return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
-        self.quads = _residual_quads(state.u - self.X @ state.beta1, self.y - self.X @ state.beta2)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta fails downstream
+            self.quads = _residual_quads(state.u - self.X @ state.beta1,
+                                         self.y - self.X @ state.beta2)
 
 
 def _residual_quads(eta, phi):
@@ -251,35 +255,37 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
 
     Each u_i is drawn from N(m_i, v_i) truncated to the half-line dictated by
     z_i, with beta integrated out, so later indices condition on the
-    partially updated u. Where the closed-form downdate's denominator falls
-    below _DENOM_FLOOR the moments come from inverting the downdated
-    precision instead, and ws.loo_fallbacks counts it.
+    partially updated u.
 
     With E = [I; -w I] and w = rho/sigma, b_i = E x_i, and every update of
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
-    g = sum_{j<i} delta_j x_j. So b_i' Sigma_beta t = a_i + c R_i g with
-    a = X E' mu_beta, read off fc's mean Sigma_beta t0, and
-    R = X E' Sigma_beta E, formed once per sweep from fc's p x p
-    E' Sigma_beta E. So fc must be the full
+    g = sum_{j<i} delta_j x_j. So m_i = base_i + coef_i g, and base_i, coef_i
+    and v_i are formed for every row before the first draw. In closed form,
+    with a = X E' mu_beta read off fc's mean Sigma_beta t0,
+    R = X E' Sigma_beta E from fc's p x p E' Sigma_beta E, d_i = R_i x_i and
+    q_i = 1/(1 - c d_i): coef_i = c q_i R_i,
+    base_i = w y_i + q_i (a_i - c d_i (u_i - w y_i)) and
+    v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2). So fc must be the full
     conditional at the u whose X'u ws.xtu holds; ws.xtu keeps that value
-    until the sweep ends, and the fallback rebuilds t0 from it. With
-    d_i = R_i x_i and q_i = 1/(1 - c d_i) (0 on fallback rows), the closed form
-    is m_i = w y_i + q_i (a_i - c d_i (u_i - w y_i)) + c q_i R_i g and
-    v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2), all but the last term of m_i
-    formed as vectors once per sweep, and v_i as the signed standard
-    deviation sd_i = +-sqrt(v_i), positive where z_i = 1, that the half-line
-    draw takes; sd_i = 0 marks a fallback row, whose sd_i comes from the
-    downdated precision. The rows go in blocks of _BLOCK: with
-    [c q_i R_i, base_i] as row i and [g_B; 1] as the accumulator at a block's
-    start, one product gives every row's base, and the k-th row adds
-    sum_{l<k} K_kl delta_l from the block kernel K = (c q R_B) X_B'. Only the
-    strict lower triangles of the kernels are kept, as one list per sweep
-    read through one iterator, from which row k takes exactly its k entries,
-    so the loop, which runs on Python floats, does O(k) work per row instead
-    of O(p). g_B += X_B' delta_B closes a block; the blocks of X, zero-padded
-    to _BLOCK rows, come from ws. The uniforms of the half-line draws come
-    from one batch. Overflow in the vectors or the fallback, on degenerate
-    data, is not warned about: the numeric failure it leads to is named.
+    until the sweep ends. A row whose denominator 1 - c d_i falls below
+    _DENOM_FLOOR reads the three from h = Sigma_-i b_i instead, Sigma_-i the
+    inverse of the downdated precision: coef_i = c E'h,
+    base_i = w y_i + h'(t0 - c (u_i - w y_i) b_i) and
+    v_i = max(b_i'h + 1 - rho^2, 1 - rho^2); ws.loo_fallbacks counts those
+    rows. The draw takes v_i as the signed standard deviation
+    sd_i = +-sqrt(v_i), positive where z_i = 1.
+
+    The rows go in blocks of _BLOCK: with [coef_i, base_i] as row i and
+    [g_B; 1] as the accumulator at a block's start, one product gives every
+    row's base, and the k-th row adds sum_{l<k} K_kl delta_l from the block
+    kernel K = coef_B X_B'. Only the strict lower triangles of the kernels
+    are kept, as one list per sweep read through one iterator, from which row
+    k takes exactly its k entries, so the loop, which runs on Python floats,
+    does O(k) work per row instead of O(p). g_B += X_B' delta_B closes a
+    block; the blocks of X, zero-padded to _BLOCK rows, come from ws. The
+    uniforms of the half-line draws come from one batch. Overflow and
+    division by zero in the per-row vectors, on degenerate data, are not
+    warned about: the numeric failure they lead to is named.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -290,21 +296,35 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     c = 1.0 / one_m
     draw = _draw_halfline                             # the module global at call time
 
-    with np.errstate(over="ignore", invalid="ignore"):     # see the docstring's last line
-        # [c q_i R_i, base_i], padded with zero rows to whole blocks
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # see the docstring
+        # [coef_i, base_i], padded with zero rows to whole blocks
         Rp = np.zeros((len(ws.x_blocks) * _BLOCK, p + 1))
         R = np.matmul(X, fc.sweep_kernel, out=Rp[:n, :p])
         d = np.einsum("ij,ij->i", R, X)               # b_i' Sigma_beta b_i
         denom = 1.0 - c * d
-        q = np.zeros(n)                               # 1/denom, 0 on fallback rows
-        np.divide(1.0, denom, out=q, where=~(denom < _DENOM_FLOOR))
+        fallback = np.flatnonzero(denom < _DENOM_FLOOR).tolist()   # nan stays closed-form
+        q = 1.0 / denom
         sd = np.sqrt(np.maximum(d * q + one_m, one_m))
-        sd = np.where(z == 1, sd, -sd)                # signed by the half-line, 0 on fallback rows
-        sd[q == 0.0] = 0.0
+        sd = np.where(z == 1, sd, -sd)                # signed by the half-line
         wy = w * y
         a = X @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
         Rp[:n, p] = wy + q * (a - c * d * (u - wy))
         R *= (c * q)[:, None]
+        if fallback:
+            t0 = _statistic(ws, sigma2, rho)
+        for i in fallback:
+            b = np.concatenate((X[i], -w * X[i]))
+            try:
+                h = np.linalg.inv(fc.precision - c * np.outer(b, b)) @ b
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"singular downdated precision in the leave-one-out fallback "
+                    f"at row {i + 1}") from exc
+            R[i] = c * (h[:p] - w * h[p:])
+            Rp[i, p] = wy[i] + h @ (t0 - (c * (u[i] - wy[i])) * b)
+            sdi = math.sqrt(max(float(b @ h) + one_m, one_m))
+            sd[i] = sdi if z[i] == 1 else -sdi
+        ws.loo_fallbacks += len(fallback)
         RB = Rp.reshape(-1, _BLOCK, p + 1)
         kern = iter(np.matmul(RB, ws.x_blocks_t)[:, _BELOW[0], _BELOW[1]].ravel().tolist())
         uni = gen.random(n)
@@ -317,29 +337,8 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
             i1 = i0 + _BLOCK
             deltas = []
             for base, ui, sdi, unif in zip((Rb @ gA).tolist(), uu[i0:i1], sds[i0:i1], unis[i0:i1]):
-                # map stops at deltas first, so row k takes its k kernel
-                # entries; fallback rows take theirs too, which keeps kern in step
-                m = base + sum(map(mul, deltas, kern))
-                if sdi == 0.0:
-                    ws.loo_fallbacks += 1
-                    k = len(deltas)
-                    g = gA[:p] + Xb[:k, :p].T @ np.array(deltas)
-                    xk = Xb[k, :p]
-                    b = np.concatenate((xk, -w * xk))
-                    stat = _statistic(ws, sigma2, rho) + c * np.concatenate((g, -w * g))
-                    try:
-                        sigma_mi = np.linalg.inv(fc.precision - c * np.outer(b, b))
-                    except np.linalg.LinAlgError as exc:
-                        raise np.linalg.LinAlgError(
-                            f"singular downdated precision in the leave-one-out fallback "
-                            f"at row {i0 + k + 1}") from exc
-                    wyi = float(wy[i0 + k])
-                    mu_mi = sigma_mi @ (stat - (c * (ui - wyi)) * b)
-                    m = wyi + float(b @ mu_mi)
-                    sdi = math.sqrt(max(float(b @ sigma_mi @ b) + one_m, one_m))
-                    if z[i0 + k] != 1:
-                        sdi = -sdi
-                un = draw(m, sdi, unif, gen)
+                # map stops at deltas first, so row k takes its k kernel entries
+                un = draw(base + sum(map(mul, deltas, kern)), sdi, unif, gen)
                 deltas.append(un - ui)
                 ul.append(un)
             gA += np.dot(deltas, Xb)
@@ -534,13 +533,12 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     sweep_tic = time.perf_counter()
     sample_u_sweep(state, fc, ws, rngs["u"])
     sweep_toc = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite X'u fails downstream
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite X'u or mean fails downstream
         xtu_ref = ws.X.T @ state.u
-        drifted = np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0)
-    if drifted:
-        raise RuntimeError("incremental X'u statistic drifted")
-    ws.xtu = xtu_ref
-    fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
+        if np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
+            raise RuntimeError("incremental X'u statistic drifted")
+        ws.xtu = xtu_ref
+        fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
     toc = time.perf_counter()
     timings["u_sweep"] += sweep_toc - sweep_tic
     timings["beta_fc"] += (sweep_tic - tic) + (toc - sweep_toc)

@@ -34,8 +34,8 @@ def report(num, ok, detail):
 
 def test_criterion_1_loo_shortcut_oracle():
     # 50 random instances, every i, 1e-8 relative error, < 1 minute; the
-    # (m_i, v_i) are the ones the sweep draws from, in its closed-form branch
-    # and with its fallback branch forced
+    # (m_i, v_i) are the ones the sweep draws from, in closed form and with
+    # every row forced to the fallback
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     rhos = [-0.9, 0.0, 0.5, 0.85]

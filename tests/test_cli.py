@@ -492,11 +492,26 @@ def test_overflowing_data_exit_3(tmp_path, case):
     # the fallback's products and the X'u drift check overflow on the way
     ("blqq", ["0.5,1e-154,-1e154,0", "1.0,1e-300,-1.0,1", "5e-324,5e-324,-1e154,0",
               "1e154,-1.0,-1e154,1"],
-     "at iteration 2: truncation point inf is not finite"),
-], ids=["fallback-singular", "nan-truncation", "fallback-overflow"])
+     "at iteration 2: truncation point nan is not finite"),
+    # _order_sums' beta * beta overflows
+    ("blqq", ["0.0,-1.0,1", "1.0,-1e154,1"],
+     "at iteration 3: prior variance of beta1_1 (effect order 1) is tau^2 * r^order = inf "
+     "at tau^2 = inf, r = 0.240059; it must be finite and at least 2.22507e-308"),
+    # the residuals' sums of squares overflow in refresh_residuals
+    ("blqq", ["1.0,0.0,1e300,0", "1e-300,-1e-300,1e-154,1"],
+     "at iteration 2: prior variance of beta2_1 (effect order 1) is tau^2 * r^order = inf "
+     "at tau^2 = inf, r = 0.3; it must be finite and at least 2.22507e-308"),
+    # the statistic and the beta mean refreshed after the sweep are invalid
+    ("smb", ["1e154,1e-300,1e-154,0", "1e-300,3,0,0", "5e-324,0,-1e-300,0", "1,0.5,-1e154,0"],
+     "at iteration 3: prior variance of beta1_1 (effect order 1) is tau^2 * r^order = nan "
+     "at tau^2 = nan, r = 0.240059; it must be finite and at least 2.22507e-308"),
+], ids=["fallback-singular", "nan-truncation", "fallback-overflow",
+        "order-sums", "residual-quads", "mean-refresh"])
 def test_numeric_failure_in_the_sweep_is_named(tmp_path, capsys, model, rows, message):
-    # degenerate files that fail in the u-sweep exit 3 with one line naming
-    # the failure, write no chain, and let numpy warn about nothing on the way
+    # degenerate files that fail in the u-sweep, or after it where its
+    # overflow reaches the hyper moves' prior variances, exit 3 with one line
+    # naming the failure, write no chain, and let numpy warn about nothing on
+    # the way
     p = rows[0].count(",") - 1
     data = tmp_path / "data.csv"
     data.write_text("\n".join([",".join([f"x{j + 1}" for j in range(p)] + ["y", "z"]), *rows]) + "\n")
@@ -508,6 +523,36 @@ def test_numeric_failure_in_the_sweep_is_named(tmp_path, capsys, model, rows, me
     assert code == 3
     assert capsys.readouterr().err == f"error: numeric failure {message}\n"
     assert not (out / "chain.csv").exists()
+
+
+def _high_leverage_lines():
+    """60 rows whose x2 is 0 except 1e6 at row 18: that row's closed-form
+    leave-one-out denominator falls below _DENOM_FLOOR on every scan."""
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(60)
+    x2 = np.zeros(60)
+    x2[18] = 1e6
+    y = 1.5 * x1 + rng.standard_normal(60)
+    z = (x1 + rng.standard_normal(60) > 0).astype(int)
+    return ["x1,x2,y,z"] + [f"{a!r},{b!r},{c!r},{d}" for a, b, c, d
+                            in zip(x1.tolist(), x2.tolist(), y.tolist(), z.tolist())]
+
+
+def test_fallback_on_a_valid_posterior(tmp_path):
+    # a high-leverage row takes the leave-one-out fallback on every scan of a
+    # fit that runs through: exit 0, every draw finite, no RuntimeWarning
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(_high_leverage_lines()) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["fit", "--data", data, "--out-dir", out,
+                    "--iterations", "600", "--burn-in", "100", "--seed", "0"])
+    assert code == 0
+    rows = [ln.split(",") for ln in data_rows(out / "diagnostics.csv")]
+    assert [r[1:] for r in rows if r[0] == "loo_fallbacks"] == [["u", "", "600"]]
+    draws = bio.read_chain_csv(out / "chain.csv").draws
+    assert draws.shape == (500, 10) and np.isfinite(draws).all()
 
 
 def _degenerate_lines(case):
@@ -784,7 +829,7 @@ def test_fuzz_fit_exit_codes(tmp_path_factory, case):
     out = tmp / "o"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = run(["fit", "--data", data, "--out-dir", out, "--model", model,
                         "--iterations", "60", "--burn-in", "10"])

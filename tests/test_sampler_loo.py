@@ -133,21 +133,31 @@ _BLOCK = sampler_mod._BLOCK
     (20, _BLOCK, 3, False),                 # exactly one whole block
     (15, 2 * _BLOCK + 3, 4, False),         # a ragged last block
     (16, 2 * _BLOCK + 3, 4, True),          # the fallback fires in mid-block
+    (21, 2 * _BLOCK + 3, 4, "block-edges"), # and at the first and last rows of blocks
 ])
 def test_loo_moments_while_u_moves(seed, n, p, with_fallback):
     # the recorder moves every u_i, so row i's moments depend on the sweep's
     # running statistic over u_1..u_{i-1}, within and across blocks
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(seed, n, p)
+    # a whole block's first row and the ragged last block's first and last rows
+    edges = [_BLOCK, 2 * _BLOCK, n - 1]
+    if with_fallback == "block-edges":
+        X[edges] *= 30.0                    # high leverage: the smallest denominators
     ws, state = make_ws(X, y, u, z, sigma2, rho)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     floor, fallback_rows = None, []
     if with_fallback:
-        # a floor between the middle two of the closed form's denominators
+        # a floor between the k-th and (k+1)-th smallest of the closed form's
+        # denominators: the middle two, or just above the edge rows'
+        k = len(edges) if with_fallback == "block-edges" else n // 2
         denom = _denominators(X, fc, sigma2, rho)
-        lower, upper = np.sort(denom)[n // 2 - 1:n // 2 + 1]
+        lower, upper = np.sort(denom)[k - 1:k + 1]
         floor = 0.5 * (lower + upper)
         fallback_rows = np.flatnonzero(denom < floor)
-        assert any(i % _BLOCK not in (0, _BLOCK - 1) for i in fallback_rows)
+        if with_fallback == "block-edges":
+            assert fallback_rows.tolist() == edges and n % _BLOCK != 0
+        else:
+            assert any(i % _BLOCK not in (0, _BLOCK - 1) for i in fallback_rows)
     _check_moving_sweep(X, y, u, z, sigma2, rho, v1, v2, ws, state, fc, floor,
                         len(fallback_rows))
 

@@ -18,6 +18,11 @@ far in the block) per row instead of O(p). The zero-padded blocks of X that
 this reads are laid out once per chain, by SamplerWorkspace.build. Each row
 reads three floats, u_i, its uniform and the signed standard deviation that
 distributions._draw_halfline takes, whose sign is the half-line z_i dictates.
+The sweep is the u-step up to _SWEEP_MAX_N rows, the paper's n = 100
+included. On taller data the Python loop would dominate the chain, so there
+the u-step is plain data augmentation (Albert & Chib 1993): given beta every
+u_i is an independent truncated normal, and the whole vector is one array
+draw, distributions._draw_halflines.
 
 The beta full conditional factors its precision A = LL' with LAPACK dpotrf
 and inverts the factor with dtrtri; no dense covariance is formed. It checks
@@ -45,7 +50,13 @@ from operator import mul
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import _TINY, _draw_halfline, _pow2_scaled, sample_scaled_inv_chi2
+from .distributions import (
+    _TINY,
+    _draw_halfline,
+    _draw_halflines,
+    _pow2_scaled,
+    sample_scaled_inv_chi2,
+)
 from .model import (
     SCALAR_NAMES,
     ChainConfig,
@@ -60,6 +71,7 @@ from .model import (
 _DENOM_FLOOR = 1e-10
 _COND_LIMIT = 1e12
 _BLOCK = 16           # rows per block of the u-sweep
+_SWEEP_MAX_N = 500    # the most rows on which the u-step is the sweep; above, one draw of u | beta
 _BELOW = np.tril_indices(_BLOCK, -1)    # a block kernel's strict lower triangle, by rows
 
 
@@ -251,11 +263,20 @@ def _beta_mean(chol_inv, t):
 
 def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
                    ws: SamplerWorkspace, gen: np.random.Generator) -> np.ndarray:
-    """One in-order sweep of u_1..u_n from their leave-one-out conditionals.
+    """The u-step: on up to _SWEEP_MAX_N rows one in-order sweep of
+    u_1..u_n from their leave-one-out conditionals, on more rows one draw of
+    u given beta.
 
-    Each u_i is drawn from N(m_i, v_i) truncated to the half-line dictated by
-    z_i, with beta integrated out, so later indices condition on the
-    partially updated u.
+    In the sweep each u_i is drawn from N(m_i, v_i) truncated to the
+    half-line dictated by z_i, with beta integrated out, so later indices
+    condition on the partially updated u.
+
+    On more than _SWEEP_MAX_N rows fc is not read: every u_i is drawn at once
+    from N(x_i'beta1 + w (y_i - x_i'beta2), 1 - rho^2), truncated by z_i, at
+    state's beta1 and beta2, by distributions._draw_halflines on one batch of
+    n uniforms, and ws.xtu is set to X'u. The sweep mixes better per scan at
+    moderate n; above the constant its interpreted loop costs more than it
+    gains (measured with scripts/mixing.py at n = 100, 300 and 1000).
 
     With E = [I; -w I] and w = rho/sigma, b_i = E x_i, and every update of
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
@@ -283,9 +304,9 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     k takes exactly its k entries, so the loop, which runs on Python floats,
     does O(k) work per row instead of O(p). g_B += X_B' delta_B closes a
     block; the blocks of X, zero-padded to _BLOCK rows, come from ws. The
-    uniforms of the half-line draws come from one batch. Overflow and
-    division by zero in the per-row vectors, on degenerate data, are not
-    warned about: the numeric failure they lead to is named.
+    uniforms of the half-line draws come from one batch. On either path,
+    overflow and division by zero in the per-row vectors, on degenerate data,
+    are not warned about: the numeric failure they lead to is named.
     """
     X, y, z = ws.X, ws.y, ws.z
     n, p = X.shape
@@ -293,6 +314,13 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     rho, sigma2 = state.rho, state.sigma2
     w = rho / math.sqrt(sigma2)
     one_m = 1.0 - rho * rho
+    if n > _SWEEP_MAX_N:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # see the docstring
+            m = X @ state.beta1 + w * (y - X @ state.beta2)
+            sd = math.sqrt(one_m)
+            u[:] = _draw_halflines(m, np.where(z == 1, sd, -sd), gen.random(n), gen)
+            ws.xtu = X.T @ u
+        return u
     c = 1.0 / one_m
     draw = _draw_halfline                             # the module global at call time
 
@@ -456,9 +484,12 @@ def sample_r_mh(sums, tau_sq_k, orders: EffectOrders, prior: PriorConfig,
 
 def init_state(data: Dataset):
     """Initialization: one least-squares fit of X to [y, 2z - 1] for beta2 and
-    beta1 (the minimum-norm one where X has rank below p), the mean square
-    residual for sigma^2, sign-corrected link values for u, sample correlation
-    for rho (0 where u or y is constant), and the hypers at _INITIAL_HYPER.
+    beta1 (the minimum-norm one where X has rank below p), with 0 for each
+    coefficient beyond the float range (X near 1e-300 against y near 1e150,
+    where the Gram matrix underflows and that coefficient's posterior is about
+    its prior), the mean square residual for sigma^2, sign-corrected link
+    values for u, sample correlation for rho (0 where u or y is constant), and
+    the hypers at _INITIAL_HYPER.
     The mean square is taken of the _pow2_scaled residuals and scaled back, so
     it is inf only where it exceeds the float range itself, and the
     correlation of the _pow2_scaled y, whose squares do not underflow. A start
@@ -469,6 +500,7 @@ def init_state(data: Dataset):
 
     with np.errstate(over="ignore", invalid="ignore"):
         coef = np.linalg.lstsq(X, np.column_stack((y, 2.0 * z - 1.0)), rcond=None)[0]
+        coef[~np.isfinite(coef)] = 0.0
         beta2, beta1 = coef.T.copy()
         resid = y - X @ beta2
         scaled, k = _pow2_scaled(resid)

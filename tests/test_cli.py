@@ -670,6 +670,36 @@ def test_scale_grid(tmp_path, capsys, model, n, p):
                 assert code == 0, case
 
 
+@pytest.mark.parametrize("n, p", [(3, 1), (12, 2)])
+@pytest.mark.parametrize("model", ["blqq", "smb"])
+def test_start_beyond_the_float_range(tmp_path, capsys, model, n, p):
+    # X*1e-300 against y*1e150: the least-squares coefficients (about 1e450)
+    # leave the float range although the Gram matrix underflows and the
+    # posterior is about the prior, so the chain starts them at 0 and runs;
+    # at y*1e300 the mean square itself is beyond float max, and the start
+    # names sigma2
+    rng = np.random.default_rng(n)
+    X = 1e-300 * rng.standard_normal((n, p))
+    y0 = rng.standard_normal(n)
+    header = ",".join([f"x{j + 1}" for j in range(p)] + ["y", "z"])
+    for sy, expected in ((1e150, 0), (1e300, 3)):
+        data = tmp_path / f"data_{sy:g}.csv"
+        data.write_text("\n".join([header] + [
+            ",".join([*map(repr, row), repr(yi), str(i % 2)])
+            for i, (row, yi) in enumerate(zip(X.tolist(), (sy * y0).tolist()))]) + "\n")
+        out = tmp_path / f"o_{sy:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["fit", "--data", data, "--out-dir", out, "--model", model, *FAST])
+        err = capsys.readouterr().err
+        assert code == expected, err
+        if expected == 0:
+            assert np.isfinite(bio.read_chain_csv(out / "chain.csv").draws).all()
+        else:
+            assert "numeric failure at the start: sigma2 is not finite" in err
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("lines, message", [
     (["x1,y,y,z", "1.0,2.0,3.0,1", "0.5,1.0,4.0,0", "0.2,0.1,5.0,1"],
      "line 1: repeated column 'y'"),

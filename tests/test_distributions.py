@@ -12,6 +12,7 @@ from blqq.distributions import (
     _TAIL_SWITCH,
     _TINY,
     _draw_halfline,
+    _draw_halflines,
     _trunc_std_lower,
     inverse_mills,
     sample_scaled_inv_chi2,
@@ -191,6 +192,66 @@ def test_signed_sd_draw_equals_side_flag_form():
                     got = _draw_halfline(m, sd if nonnegative else -sd, uni, gb)
                     assert got.hex() == want.hex(), (m, v, nonnegative, uni)
                     assert ga.random() == gb.random()
+
+
+def test_halflines_bulk_matches_the_scalar_draw():
+    # the array draw runs the scalar's formula on scipy's erfc and ndtri, which
+    # differ from math.erfc and the stdlib inverse CDF in the last bits; the
+    # error is measured against |m| + |t|, as the sum m - t x can cancel
+    rng = np.random.default_rng(16)
+    n = 200_000
+    m = rng.normal(0.0, 5.0, n)
+    t = np.sqrt(rng.uniform(1e-4, 9.0, n)) * rng.choice([-1.0, 1.0], n)
+    uni = rng.random(n)
+    bulk = -m / t < _TAIL_SWITCH
+    assert bulk.sum() > 100_000
+    got = _draw_halflines(m, t, uni, np.random.default_rng(17))
+    gen = np.random.default_rng(17)
+    want = np.array([_draw_halfline(*row, gen)
+                     for row in zip(m.tolist(), t.tolist(), uni.tolist())])
+    assert np.all(np.abs(got - want)[bulk] <= 1e-13 * (np.abs(m) + np.abs(t))[bulk])
+    # the tail rows are the scalar draws themselves, taken in the same order
+    assert np.array_equal(got[~bulk], want[~bulk])
+    assert np.all((got >= 0.0) == (t > 0.0))
+
+
+@pytest.mark.parametrize("row", ["tail", "zero-uniform", "nan-mean"])
+def test_halflines_exceptional_row_is_the_scalar_draw(row):
+    # a row with alpha = 7, one whose uniform is exactly 0 and one whose mean
+    # is nan go through the scalar draw: the same value, the same variates
+    # taken from gen, and the same error
+    m = np.array([0.3, -1.2, 0.0, 2.5])
+    t = np.array([1.0, -0.5, 2.0, -1.5])
+    uni = np.array([0.2, 0.7, 0.4, 0.9])
+    k = 2
+    if row == "tail":
+        m[k] = -7.0 * t[k]
+    elif row == "zero-uniform":
+        uni[k] = 0.0
+    else:
+        m[k] = math.nan
+    ga, gb = np.random.default_rng(18), np.random.default_rng(18)
+    if row == "nan-mean":
+        with pytest.raises(FloatingPointError, match="not finite"):
+            _draw_halflines(m, t, uni, ga)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            _draw_halfline(float(m[k]), float(t[k]), float(uni[k]), gb)
+    else:
+        got = _draw_halflines(m, t, uni, ga)
+        want = _draw_halfline(float(m[k]), float(t[k]), float(uni[k]), gb)
+        assert got[k].hex() == want.hex()
+    assert ga.random() == gb.random()
+
+
+def test_halflines_ks_against_truncnorm():
+    # criterion 7's check of the scalar draw, on the array draw: a truncation
+    # point inside the bulk, 1e6 draws, KS against scipy.stats.truncnorm
+    n = 1_000_000
+    mean, sd = 0.5, math.sqrt(2.0)
+    gen = np.random.default_rng(19)
+    draws = _draw_halflines(np.full(n, mean), np.full(n, sd), gen.random(n), gen)
+    ref = stats.truncnorm(-mean / sd, np.inf, loc=mean, scale=sd)
+    assert stats.kstest(draws, ref.cdf).statistic <= 0.002
 
 
 def test_inverse_cdf_without_range_check_equals_normal_dist():

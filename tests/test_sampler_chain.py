@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blqq.sampler as sampler_mod
+from blqq.distributions import _draw_halflines
 from blqq.metrics import effective_sample_size
 from blqq.model import ChainConfig, Dataset, EffectOrders, HyperState, ParameterState, PriorConfig
 from blqq.sampler import _INITIAL_STEP, SamplerWorkspace, _iterate, init_state, run_chain
@@ -179,6 +180,51 @@ def test_iterate_by_hand_reproduces_run_chain():
     assert np.array_equal(state.u, out.final_u)
 
 
+def _u_step(data, seed):
+    """(state, ws, gen) after one sample_u_sweep call from the chain's start,
+    gen the generator it drew from."""
+    orders, _ = default_setup(data)
+    state, hyper = init_state(data)
+    ws = SamplerWorkspace.build(data, state)
+    fc = sampler_mod.compute_beta_full_conditional(
+        ws, state.sigma2, state.rho, *sampler_mod._prior_variances(orders, hyper))
+    gen = np.random.default_rng(seed)
+    sampler_mod.sample_u_sweep(state, fc, ws, gen)
+    return state, ws, gen
+
+
+def test_u_step_dispatches_on_the_row_count(monkeypatch):
+    # above _SWEEP_MAX_N rows u is one draw given beta; at it, the sweep
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 20)
+    data = small_data(seed=8, n=21)
+    state, ws, gen = _u_step(data, 5)
+    w = state.rho / np.sqrt(state.sigma2)
+    m = data.X @ state.beta1 + w * (data.y - data.X @ state.beta2)
+    sd = np.sqrt(1.0 - state.rho ** 2)
+    twin = np.random.default_rng(5)
+    want = _draw_halflines(m, np.where(data.z == 1, sd, -sd), twin.random(21), twin)
+    assert state.u.tobytes() == want.tobytes()
+    assert gen.random() == twin.random()
+    assert ws.xtu.tobytes() == (data.X.T @ state.u).tobytes()
+    assert ws.loo_fallbacks == 0
+
+    # at 20 rows the sweep's draws, not the draw given beta
+    data = small_data(seed=8, n=20)
+    got = _u_step(data, 5)[0].u
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 10**9)
+    assert got.tobytes() == _u_step(data, 5)[0].u.tobytes()
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 19)
+    assert not np.array_equal(got, _u_step(data, 5)[0].u)
+
+    # and a chain on the draw of u given beta repeats byte for byte
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 20)
+    data = small_data(seed=8, n=21)
+    a = run_small(data, iterations=60, burn_in=20, seed=3)
+    b = run_small(data, iterations=60, burn_in=20, seed=3)
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert a.final_u.tobytes() == b.final_u.tobytes()
+
+
 def test_freeze_rho_at_zero():
     data = small_data(seed=5)
     out = run_small(data, freeze_rho_at_zero=True)
@@ -257,11 +303,14 @@ def _geweke_data(X, state, gen):
     return u, y, (u >= 0).astype(int)
 
 
-def test_whole_sampler_keeps_the_prior():
+@pytest.mark.parametrize("sweep_max_n", [sampler_mod._SWEEP_MAX_N, 0])
+def test_whole_sampler_keeps_the_prior(monkeypatch, sweep_max_n):
     # successive-conditional simulation on n=5, p=2 with effect orders (1, 2)
     # and fixed MH steps; each test function's mean over the scans is
     # compared with its mean over independent prior draws, the scans' variance
-    # taken over their effective sample size
+    # taken over their effective sample size. Both u-steps: the sweep, and with
+    # the sweep's row limit at 0 the draw of u given beta
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", sweep_max_n)
     orders = EffectOrders([1, 2])
     prior = PriorConfig(nu=6, delta_sq=1, a=1, b=1, sigma2_prior_dof=5, sigma2_prior_scale=1)
     X = np.random.default_rng(_GEWEKE_SEED).standard_normal((5, 2))

@@ -303,14 +303,22 @@ def _geweke_data(X, state, gen):
     return u, y, (u >= 0).astype(int)
 
 
-@pytest.mark.parametrize("sweep_max_n", [sampler_mod._SWEEP_MAX_N, 0])
-def test_whole_sampler_keeps_the_prior(monkeypatch, sweep_max_n):
+def test_whole_sampler_keeps_the_prior():
+    # the u-step is the sweep: n=5 is below the sweep's row limit
+    _check_whole_sampler_keeps_the_prior()
+
+
+def test_whole_sampler_keeps_the_prior_with_u_drawn_given_beta(monkeypatch):
+    # with the sweep's row limit at 0 the u-step is the draw of u given beta
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 0)
+    _check_whole_sampler_keeps_the_prior()
+
+
+def _check_whole_sampler_keeps_the_prior():
     # successive-conditional simulation on n=5, p=2 with effect orders (1, 2)
     # and fixed MH steps; each test function's mean over the scans is
     # compared with its mean over independent prior draws, the scans' variance
-    # taken over their effective sample size. Both u-steps: the sweep, and with
-    # the sweep's row limit at 0 the draw of u given beta
-    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", sweep_max_n)
+    # taken over their effective sample size
     orders = EffectOrders([1, 2])
     prior = PriorConfig(nu=6, delta_sq=1, a=1, b=1, sigma2_prior_dof=5, sigma2_prior_scale=1)
     X = np.random.default_rng(_GEWEKE_SEED).standard_normal((5, 2))

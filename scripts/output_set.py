@@ -13,6 +13,9 @@ command at fixed seeds:
 - predict with the blqq fit on 2000 test rows from a second simulate, so that
   rows x stored draws (2000 x 500) spans several of predict_draws' row blocks;
 - replicate at p=30 with 2 replicates, 600 iterations;
+- simulate at p=10 with 600 train rows, and fit of that train file with
+  --model blqq and --model smb, 600 iterations: above sampler._SWEEP_MAX_N
+  rows, so these chains draw u given beta in one array step;
 - fit of high_leverage.csv, which this script writes: 60 rows whose x2 is
   0 except 1e6 at row 18 (from 0), so that row's leave-one-out moments come
   from the sweep's fallback on every scan (diagnostics.csv reads
@@ -152,6 +155,12 @@ def main():
          "--out", os.path.join(out, "predict_blqq_wide.csv"))
     blqq("replicate", "--p", 30, "--replicates", 2, *chain,
          "--out-dir", os.path.join(out, "replicate"))
+    tall = os.path.join(out, "sims_tall")
+    blqq("simulate", "--p", 10, "--n-train", 600, "--n-test", 10, "--seed", 2,
+         "--out-dir", tall)
+    for model in ("blqq", "smb"):
+        blqq("fit", "--data", os.path.join(tall, "rho0.85_p10_s0.2", "rep0_train.csv"),
+             "--model", model, *chain, "--out-dir", os.path.join(out, f"fit_tall_{model}"))
     leverage = os.path.join(out, "high_leverage.csv")
     write_high_leverage(leverage)
     blqq("fit", "--data", leverage, *chain, "--out-dir", os.path.join(out, "fit_leverage"))

@@ -15,23 +15,25 @@ precision. The draws then run one formula for every row, and advance g a
 block of _BLOCK rows at a time: within a block each row reads the
 accumulator through the lower triangle of the block's kernel, at O(rows so
 far in the block) per row instead of O(p). The zero-padded blocks of X that
-this reads are laid out once per chain, by SamplerWorkspace.build. Each row
-reads three floats, u_i, its uniform and the signed standard deviation that
-distributions._draw_halfline takes, whose sign is the half-line z_i dictates.
-The sweep is the u-step up to _SWEEP_MAX_N rows, the paper's n = 100
-included. On taller data the Python loop would dominate the chain, so there
-the u-step is plain data augmentation (Albert & Chib 1993): given beta every
-u_i is an independent truncated normal, and the whole vector is one array
-draw, distributions._draw_halflines.
+this reads, the flat index of the kernels' triangles and the +-1 sign of
+each row's half-line are laid out once per chain, by SamplerWorkspace.build.
+Each row reads three floats, u_i, its uniform and the signed standard
+deviation that distributions._draw_halfline takes. The sweep is the u-step
+up to _SWEEP_MAX_N rows, the paper's n = 100 included. On taller data the
+Python loop would dominate the chain, so there the u-step is plain data
+augmentation (Albert & Chib 1993): given beta every u_i is an independent
+truncated normal, and the whole vector is one array draw,
+distributions._draw_halflines, from the X beta1 and y - X beta2 kept at the
+beta draw.
 
 The beta full conditional factors its precision A = LL' with LAPACK dpotrf
 and inverts the factor with dtrtri; no dense covariance is formed. It checks
 the conditioning from an O(p) trace bound that reads diag(A^-1) as the
 squared column norms of L^-1; only where that bound does not settle the
 verdict does it take the eigenvalues of the Jacobi-scaled precision. The
-mean is L^-T (L^-1 t), the beta draw mu + L^-T eps, and the sweep's p x p
-kernel E' A^-1 E is W'W with W = L^-1 E, formed here so that the sweep only
-multiplies X by it.
+mean L^-T (L^-1 t) is formed after the u-step, for the beta draw
+mu + L^-T eps; the sweep forms its own starting mean and its p x p kernel
+E' A^-1 E = W'W, W = L^-1 E, so that the tall u-step forms neither.
 
 Every other move reads the state through a few scalars formed once where the
 state changes. The sigma^2 and rho targets read eta'eta, eta'phi and phi'phi,
@@ -72,7 +74,6 @@ _DENOM_FLOOR = 1e-10
 _COND_LIMIT = 1e12
 _BLOCK = 16           # rows per block of the u-sweep
 _SWEEP_MAX_N = 500    # the most rows on which the u-step is the sweep; above, one draw of u | beta
-_BELOW = np.tril_indices(_BLOCK, -1)    # a block kernel's strict lower triangle, by rows
 
 
 class IllConditionedError(RuntimeError):
@@ -119,12 +120,11 @@ def _prior_variances(orders: EffectOrders, hyper: HyperState):
 @dataclass
 class FullConditionalBeta:
     """Full conditional N(mu_beta, L^-T L^-1) of the stacked (beta1, beta2),
-    L the lower Cholesky factor of its precision."""
+    L the lower Cholesky factor of its precision; mu_beta is set after the u-step."""
 
-    mu_beta: np.ndarray
     chol_inv: np.ndarray        # L^-1, lower triangular
-    sweep_kernel: np.ndarray    # E' Sigma_beta E, E = [I; -(rho/sigma) I]: the u-sweep's p x p kernel
     precision: np.ndarray       # cached for the degenerate-downdate fallback
+    mu_beta: np.ndarray | None = None
 
 
 @dataclass
@@ -137,12 +137,17 @@ class SamplerWorkspace:
     gram: np.ndarray            # X'X
     xty: np.ndarray             # X'y
     xtu: np.ndarray             # X'u, maintained incrementally during sweeps
-    quads: tuple = field(init=False)        # _residual_quads(u - X beta1, y - X beta2)
+    xb1: np.ndarray = field(init=False)     # X beta1, kept by refresh_residuals like xtu
+    phi: np.ndarray = field(init=False)     # y - X beta2, likewise
+    quads: tuple = field(init=False)        # _residual_quads(u - X beta1, phi)
+    sign: np.ndarray = field(init=False)    # +1 where z_i = 1, else -1: signs each sd
     # [X, 0] padded with zero rows to whole blocks of _BLOCK rows, as the
     # sweep reads it: the rows of each block (the last block ragged, cut at
-    # n) and every block transposed, shape (n_blocks, p + 1, _BLOCK)
+    # n) and every block transposed, shape (n_blocks, p + 1, _BLOCK); and the
+    # flat index of every block kernel's strict lower triangle, by rows
     x_blocks: list = field(init=False)
     x_blocks_t: np.ndarray = field(init=False)
+    below: np.ndarray = field(init=False)
     loo_fallbacks: int = 0
 
     @classmethod
@@ -156,12 +161,15 @@ class SamplerWorkspace:
         Xp[:n, :p] = X
         ws.x_blocks = [Xp[i0:min(i0 + _BLOCK, n)] for i0 in range(0, n, _BLOCK)]
         ws.x_blocks_t = Xp.reshape(-1, _BLOCK, p + 1).transpose(0, 2, 1)
+        below = np.flatnonzero(np.tri(_BLOCK, k=-1))                # by rows
+        ws.below = (np.arange(len(ws.x_blocks))[:, None] * _BLOCK ** 2 + below).ravel()
+        ws.sign = np.where(ws.z == 1, 1.0, -1.0)
         return ws
 
     def refresh_residuals(self, state: ParameterState) -> None:
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite beta fails downstream
-            self.quads = _residual_quads(state.u - self.X @ state.beta1,
-                                         self.y - self.X @ state.beta2)
+            self.xb1, self.phi = self.X @ state.beta1, self.y - self.X @ state.beta2
+            self.quads = _residual_quads(state.u - self.xb1, self.phi)
 
 
 def _residual_quads(eta, phi):
@@ -196,12 +204,13 @@ def _check_conditioning(A: np.ndarray) -> None:
 
 
 def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> FullConditionalBeta:
-    """Mean and covariance of beta | u, y, sigma2, rho with prior N(0, diag(v1, v2)).
+    """Covariance of beta | u, y, sigma2, rho with prior N(0, diag(v1, v2)),
+    as the inverse factor L^-1 and the precision; the mean is left unset.
 
     Built directly from the p x p Gram matrix via the Kronecker structure of
-    the error precision; nothing of size n enters the linear algebra. The
-    data enter through the workspace, whose xtu must equal X'u. Raises
-    IllConditionedError where _check_conditioning rejects the precision.
+    the error precision; nothing of size n enters the linear algebra, and u
+    does not enter at all. Raises IllConditionedError where
+    _check_conditioning rejects the precision.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
@@ -243,22 +252,21 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
         # factor 1/2 keeps rounding in the bound and in eigvalsh from flipping
         # a verdict at the limit.
         bound = 2 * p * float(np.dot(np.diag(A), np.einsum("ij,ij->j", Linv, Linv)))
-        mu_beta = _beta_mean(Linv, _statistic(ws, sigma2, rho))
     if not bound <= 0.5 * _COND_LIMIT:       # also where bound is nan
         _check_conditioning(A)
-
-    W = Linv[:, :p] - (rho / s) * Linv[:, p:]          # L^-1 E
-    return FullConditionalBeta(
-        mu_beta=mu_beta,
-        chol_inv=Linv,
-        sweep_kernel=W.T @ W,
-        precision=A,
-    )
+    return FullConditionalBeta(chol_inv=Linv, precision=A)
 
 
 def _beta_mean(chol_inv, t):
     """Sigma_beta t as L^-T (L^-1 t)."""
     return chol_inv.T @ (chol_inv @ t)
+
+
+def _sweep_kernel(chol_inv, w):
+    """The u-sweep's p x p kernel E' Sigma_beta E, E = [I; -w I], as W'W, W = L^-1 E."""
+    p = chol_inv.shape[0] // 2
+    W = chol_inv[:, :p] - w * chol_inv[:, p:]
+    return W.T @ W
 
 
 def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
@@ -272,29 +280,29 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     condition on the partially updated u.
 
     On more than _SWEEP_MAX_N rows fc is not read: every u_i is drawn at once
-    from N(x_i'beta1 + w (y_i - x_i'beta2), 1 - rho^2), truncated by z_i, at
-    state's beta1 and beta2, by distributions._draw_halflines on one batch of
-    n uniforms, and ws.xtu is set to X'u. The sweep mixes better per scan at
-    moderate n; above the constant its interpreted loop costs more than it
-    gains (measured with scripts/mixing.py at n = 100, 300 and 1000).
+    from N(x_i'beta1 + w phi_i, 1 - rho^2), truncated by z_i, read off
+    ws.xb1 and ws.phi = y - X beta2 at state's beta, by _draw_halflines on
+    one batch of n uniforms, and ws.xtu is set to X'u. The sweep mixes better
+    per scan at moderate n; above the constant its interpreted loop costs
+    more than it gains (measured with scripts/mixing.py at n = 100, 300 and
+    1000).
 
     With E = [I; -w I] and w = rho/sigma, b_i = E x_i, and every update of
     the statistic t lies along some b_j: t = t0 + c E g with the p-vector
     g = sum_{j<i} delta_j x_j. So m_i = base_i + coef_i g, and base_i, coef_i
-    and v_i are formed for every row before the first draw. In closed form,
-    with a = X E' mu_beta read off fc's mean Sigma_beta t0,
-    R = X E' Sigma_beta E from fc's p x p E' Sigma_beta E, d_i = R_i x_i and
+    and v_i are formed for every row before the first draw. The sweep forms
+    t0 from ws.xtu, which must equal X'u, the mean Sigma_beta t0 and the
+    p x p kernel E' Sigma_beta E from fc's L^-1. In closed form, with
+    a = X E' Sigma_beta t0, R = X E' Sigma_beta E, d_i = R_i x_i and
     q_i = 1/(1 - c d_i): coef_i = c q_i R_i,
     base_i = w y_i + q_i (a_i - c d_i (u_i - w y_i)) and
-    v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2). So fc must be the full
-    conditional at the u whose X'u ws.xtu holds; ws.xtu keeps that value
-    until the sweep ends. A row whose denominator 1 - c d_i falls below
-    _DENOM_FLOOR reads the three from h = Sigma_-i b_i instead, Sigma_-i the
-    inverse of the downdated precision: coef_i = c E'h,
+    v_i = max(d_i q_i + 1 - rho^2, 1 - rho^2). A row whose denominator
+    1 - c d_i falls below _DENOM_FLOOR reads the three from h = Sigma_-i b_i
+    instead, Sigma_-i the inverse of the downdated precision: coef_i = c E'h,
     base_i = w y_i + h'(t0 - c (u_i - w y_i) b_i) and
     v_i = max(b_i'h + 1 - rho^2, 1 - rho^2); ws.loo_fallbacks counts those
     rows. The draw takes v_i as the signed standard deviation
-    sd_i = +-sqrt(v_i), positive where z_i = 1.
+    sd_i = +-sqrt(v_i), positive where z_i = 1, on either path.
 
     The rows go in blocks of _BLOCK: with [coef_i, base_i] as row i and
     [g_B; 1] as the accumulator at a block's start, one product gives every
@@ -303,12 +311,13 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     are kept, as one list per sweep read through one iterator, from which row
     k takes exactly its k entries, so the loop, which runs on Python floats,
     does O(k) work per row instead of O(p). g_B += X_B' delta_B closes a
-    block; the blocks of X, zero-padded to _BLOCK rows, come from ws. The
-    uniforms of the half-line draws come from one batch. On either path,
-    overflow and division by zero in the per-row vectors, on degenerate data,
-    are not warned about: the numeric failure they lead to is named.
+    block; the blocks of X and the triangles' index come from ws. The
+    uniforms come from one batch. A fresh X'u replaces the accumulated one,
+    which must agree with it to 1e-8 relative, else RuntimeError. On either
+    path, overflow and division by zero in the per-row vectors, on degenerate
+    data, are not warned about: the numeric failure they lead to is named.
     """
-    X, y, z = ws.X, ws.y, ws.z
+    X, y = ws.X, ws.y
     n, p = X.shape
     u = state.u
     rho, sigma2 = state.rho, state.sigma2
@@ -316,30 +325,28 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     one_m = 1.0 - rho * rho
     if n > _SWEEP_MAX_N:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # see the docstring
-            m = X @ state.beta1 + w * (y - X @ state.beta2)
-            sd = math.sqrt(one_m)
-            u[:] = _draw_halflines(m, np.where(z == 1, sd, -sd), gen.random(n), gen)
+            m = ws.xb1 + w * ws.phi
+            u[:] = _draw_halflines(m, math.sqrt(one_m) * ws.sign, gen.random(n), gen)
             ws.xtu = X.T @ u
         return u
     c = 1.0 / one_m
     draw = _draw_halfline                             # the module global at call time
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # see the docstring
+        t0 = _statistic(ws, sigma2, rho)
+        mu = _beta_mean(fc.chol_inv, t0)
         # [coef_i, base_i], padded with zero rows to whole blocks
         Rp = np.zeros((len(ws.x_blocks) * _BLOCK, p + 1))
-        R = np.matmul(X, fc.sweep_kernel, out=Rp[:n, :p])
+        R = np.matmul(X, _sweep_kernel(fc.chol_inv, w), out=Rp[:n, :p])
         d = np.einsum("ij,ij->i", R, X)               # b_i' Sigma_beta b_i
         denom = 1.0 - c * d
         fallback = np.flatnonzero(denom < _DENOM_FLOOR).tolist()   # nan stays closed-form
         q = 1.0 / denom
-        sd = np.sqrt(np.maximum(d * q + one_m, one_m))
-        sd = np.where(z == 1, sd, -sd)                # signed by the half-line
+        sd = np.sqrt(np.maximum(d * q + one_m, one_m)) * ws.sign   # signed by the half-line
         wy = w * y
-        a = X @ (fc.mu_beta[:p] - w * fc.mu_beta[p:])
+        a = X @ (mu[:p] - w * mu[p:])
         Rp[:n, p] = wy + q * (a - c * d * (u - wy))
         R *= (c * q)[:, None]
-        if fallback:
-            t0 = _statistic(ws, sigma2, rho)
         for i in fallback:
             b = np.concatenate((X[i], -w * X[i]))
             try:
@@ -350,11 +357,10 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
                     f"at row {i + 1}") from exc
             R[i] = c * (h[:p] - w * h[p:])
             Rp[i, p] = wy[i] + h @ (t0 - (c * (u[i] - wy[i])) * b)
-            sdi = math.sqrt(max(float(b @ h) + one_m, one_m))
-            sd[i] = sdi if z[i] == 1 else -sdi
+            sd[i] = math.sqrt(max(float(b @ h) + one_m, one_m)) * ws.sign[i]
         ws.loo_fallbacks += len(fallback)
         RB = Rp.reshape(-1, _BLOCK, p + 1)
-        kern = iter(np.matmul(RB, ws.x_blocks_t)[:, _BELOW[0], _BELOW[1]].ravel().tolist())
+        kern = iter(np.matmul(RB, ws.x_blocks_t).ravel().take(ws.below).tolist())
         uni = gen.random(n)
 
         ul = []
@@ -370,8 +376,11 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
                 deltas.append(un - ui)
                 ul.append(un)
             gA += np.dot(deltas, Xb)
-    u[:] = ul
-    ws.xtu += gA[:p]
+        u[:] = ul
+        xtu = X.T @ u               # the accumulated X'u, checked against a fresh product
+        if np.linalg.norm(ws.xtu + gA[:p] - xtu) > 1e-8 * max(np.linalg.norm(xtu), 1.0):
+            raise RuntimeError("incremental X'u statistic drifted")
+    ws.xtu = xtu
     return u
 
 
@@ -556,8 +565,9 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     with beta integrated out, the joint beta draw, MH moves for sigma^2 and
     (joint chains only) rho, conjugate tau^2 draws, and MH moves for r1/r2.
     Adds each block's wall time to timings: beta_fc holds the full
-    conditional, the X'u drift check and the refresh of its mean, and u_sweep
-    sample_u_sweep alone. Returns {target: accepted} for every MH move made."""
+    conditional and its mean, formed after the u-step, and u_sweep
+    sample_u_sweep alone (on the sweep path its X'u drift check, starting
+    mean and kernel too). Returns {target: accepted} for every MH move made."""
     v1, v2 = _prior_variances(orders, hyper)
 
     tic = time.perf_counter()
@@ -565,11 +575,7 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     sweep_tic = time.perf_counter()
     sample_u_sweep(state, fc, ws, rngs["u"])
     sweep_toc = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite X'u or mean fails downstream
-        xtu_ref = ws.X.T @ state.u
-        if np.linalg.norm(ws.xtu - xtu_ref) > 1e-8 * max(np.linalg.norm(xtu_ref), 1.0):
-            raise RuntimeError("incremental X'u statistic drifted")
-        ws.xtu = xtu_ref
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean fails downstream
         fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
     toc = time.perf_counter()
     timings["u_sweep"] += sweep_toc - sweep_tic

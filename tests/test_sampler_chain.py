@@ -225,6 +225,29 @@ def test_u_step_dispatches_on_the_row_count(monkeypatch):
     assert a.final_u.tobytes() == b.final_u.tobytes()
 
 
+@pytest.mark.parametrize("freeze_rho", [False, True], ids=["joint", "rho-pinned"])
+def test_tall_scan_keeps_its_cached_products(monkeypatch, freeze_rho):
+    # the draw of u given beta reads X beta1 and phi = y - X beta2 off the
+    # workspace instead of forming them: after every scan they, and X'u,
+    # must be what a fresh product of the state gives, byte for byte
+    monkeypatch.setattr(sampler_mod, "_SWEEP_MAX_N", 20)
+    data = small_data(seed=8, n=21)
+    real, scans = sampler_mod._iterate, []
+
+    def checked(state, hyper, ws, *args):
+        hits = real(state, hyper, ws, *args)
+        X = data.X
+        assert ws.xb1.tobytes() == (X @ state.beta1).tobytes()
+        assert ws.phi.tobytes() == (data.y - X @ state.beta2).tobytes()
+        assert ws.xtu.tobytes() == (X.T @ state.u).tobytes()
+        scans.append(1)
+        return hits
+
+    monkeypatch.setattr(sampler_mod, "_iterate", checked)
+    run_small(data, iterations=30, burn_in=10, seed=4, freeze_rho_at_zero=freeze_rho)
+    assert len(scans) == 30
+
+
 def test_freeze_rho_at_zero():
     data = small_data(seed=5)
     out = run_small(data, freeze_rho_at_zero=True)

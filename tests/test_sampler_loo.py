@@ -30,6 +30,11 @@ def random_instance(seed, n, p):
     return X, y, u, z, sigma2, rho, v1, v2
 
 
+def full_conditional_mean(fc, ws, sigma2, rho):
+    """fc's mean Sigma_beta t at ws.xtu, formed as the scan forms it."""
+    return sampler_mod._beta_mean(fc.chol_inv, sampler_mod._statistic(ws, sigma2, rho))
+
+
 def make_ws(X, y, u, z, sigma2=1.0, rho=0.0):
     p = X.shape[1]
     state = ParameterState(beta1=np.zeros(p), beta2=np.zeros(p),
@@ -43,11 +48,13 @@ def test_full_conditional_matches_dense(seed, n, p):
     ws, _ = make_ws(X, y, u, z)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
-    assert np.allclose(fc.mu_beta, mu_d, rtol=1e-10, atol=1e-12)
+    assert np.allclose(full_conditional_mean(fc, ws, sigma2, rho), mu_d, rtol=1e-10, atol=1e-12)
     assert np.allclose(fc.chol_inv.T @ fc.chol_inv, sig_d, rtol=1e-9, atol=1e-12)
     # the u-sweep's p x p kernel E' Sigma_beta E, E = [I; -(rho/sigma) I]
-    E = np.vstack([np.eye(p), -(rho / np.sqrt(sigma2)) * np.eye(p)])
-    assert np.allclose(fc.sweep_kernel, E.T @ sig_d @ E, rtol=1e-9, atol=1e-12)
+    w = rho / np.sqrt(sigma2)
+    E = np.vstack([np.eye(p), -w * np.eye(p)])
+    assert np.allclose(sampler_mod._sweep_kernel(fc.chol_inv, w), E.T @ sig_d @ E,
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_full_conditional_rejects_bad_args():
@@ -276,7 +283,7 @@ def test_full_conditional_tiny_prior_variance():
     ws, _ = make_ws(X, y, u, z)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     mu_d, sig_d = oracles.dense_full_conditional(X, y, u, sigma2, rho, v1, v2)
-    assert np.allclose(fc.mu_beta, mu_d, rtol=1e-8, atol=1e-14)
+    assert np.allclose(full_conditional_mean(fc, ws, sigma2, rho), mu_d, rtol=1e-8, atol=1e-14)
     assert np.allclose(fc.chol_inv.T @ fc.chol_inv, sig_d, rtol=1e-8, atol=1e-20)
 
 
@@ -295,6 +302,7 @@ def test_sample_beta_mean_and_covariance():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(50, 20, 2)
     ws, _ = make_ws(X, y, u, z)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    fc.mu_beta = full_conditional_mean(fc, ws, sigma2, rho)
     rng = np.random.default_rng(51)
     draws = np.array([np.concatenate(sample_beta(fc, rng)) for _ in range(40_000)])
     assert np.allclose(draws.mean(axis=0), fc.mu_beta, atol=0.01)

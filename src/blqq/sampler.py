@@ -31,9 +31,9 @@ and inverts the factor with dtrtri; no dense covariance is formed. It checks
 the conditioning from an O(p) trace bound that reads diag(A^-1) as the
 squared column norms of L^-1; only where that bound does not settle the
 verdict does it take the eigenvalues of the Jacobi-scaled precision. The
-mean L^-T (L^-1 t) is formed after the u-step, for the beta draw
-mu + L^-T eps; the sweep forms its own starting mean and its p x p kernel
-E' A^-1 E = W'W, W = L^-1 E, so that the tall u-step forms neither.
+beta draw forms the mean L^-T (L^-1 t) from the statistic the u-step leaves
+and draws mu + L^-T eps; the sweep forms its own starting mean and its p x p
+kernel E' A^-1 E = W'W, W = L^-1 E, so that the tall u-step forms neither.
 
 Every other move reads the state through a few scalars formed once where the
 state changes. The sigma^2 and rho targets read eta'eta, eta'phi and phi'phi,
@@ -117,14 +117,13 @@ def _prior_variances(orders: EffectOrders, hyper: HyperState):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class FullConditionalBeta:
-    """Full conditional N(mu_beta, L^-T L^-1) of the stacked (beta1, beta2),
-    L the lower Cholesky factor of its precision; mu_beta is set after the u-step."""
+    """Covariance L^-T L^-1 of the stacked (beta1, beta2) given the rest, L
+    the lower Cholesky factor of its precision; sample_beta forms the mean."""
 
     chol_inv: np.ndarray        # L^-1, lower triangular
     precision: np.ndarray       # cached for the degenerate-downdate fallback
-    mu_beta: np.ndarray | None = None
 
 
 @dataclass
@@ -205,7 +204,7 @@ def _check_conditioning(A: np.ndarray) -> None:
 
 def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> FullConditionalBeta:
     """Covariance of beta | u, y, sigma2, rho with prior N(0, diag(v1, v2)),
-    as the inverse factor L^-1 and the precision; the mean is left unset.
+    as the inverse factor L^-1 and the precision.
 
     Built directly from the p x p Gram matrix via the Kronecker structure of
     the error precision; nothing of size n enters the linear algebra, and u
@@ -384,10 +383,13 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
     return u
 
 
-def sample_beta(fc: FullConditionalBeta, gen: np.random.Generator):
-    """One joint draw of (beta1, beta2) from the cached full conditional."""
-    eps = gen.standard_normal(fc.mu_beta.shape[0])
-    draw = fc.mu_beta + fc.chol_inv.T @ eps
+def sample_beta(fc: FullConditionalBeta, ws: SamplerWorkspace, state: ParameterState,
+                gen: np.random.Generator):
+    """One joint draw of (beta1, beta2): the mean L^-T (L^-1 t), t the
+    statistic at the u-step's ws.xtu, plus L^-T eps."""
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean fails downstream
+        mu = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
+    draw = mu + fc.chol_inv.T @ gen.standard_normal(mu.shape[0])
     p = draw.shape[0] // 2
     return draw[:p], draw[p:]
 
@@ -564,25 +566,22 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
     """One Gibbs/MH scan, updating state, hyper and ws in place: the u-sweep
     with beta integrated out, the joint beta draw, MH moves for sigma^2 and
     (joint chains only) rho, conjugate tau^2 draws, and MH moves for r1/r2.
-    Adds each block's wall time to timings: beta_fc holds the full
-    conditional and its mean, formed after the u-step, and u_sweep
-    sample_u_sweep alone (on the sweep path its X'u drift check, starting
-    mean and kernel too). Returns {target: accepted} for every MH move made."""
+    Adds each block's wall time, one interval each, to timings: beta_fc holds
+    compute_beta_full_conditional, u_sweep sample_u_sweep (the sweep's
+    starting mean, kernel and X'u drift check too), beta sample_beta (the
+    mean and the draw) and refresh_residuals. Returns {target: accepted}."""
     v1, v2 = _prior_variances(orders, hyper)
 
     tic = time.perf_counter()
     fc = compute_beta_full_conditional(ws, state.sigma2, state.rho, v1, v2)
-    sweep_tic = time.perf_counter()
-    sample_u_sweep(state, fc, ws, rngs["u"])
-    sweep_toc = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite mean fails downstream
-        fc.mu_beta = _beta_mean(fc.chol_inv, _statistic(ws, state.sigma2, state.rho))
-    toc = time.perf_counter()
-    timings["u_sweep"] += sweep_toc - sweep_tic
-    timings["beta_fc"] += (sweep_tic - tic) + (toc - sweep_toc)
+    timings["beta_fc"] += time.perf_counter() - tic
 
     tic = time.perf_counter()
-    state.beta1, state.beta2 = sample_beta(fc, rngs["beta"])
+    sample_u_sweep(state, fc, ws, rngs["u"])
+    timings["u_sweep"] += time.perf_counter() - tic
+
+    tic = time.perf_counter()
+    state.beta1, state.beta2 = sample_beta(fc, ws, state, rngs["beta"])
     ws.refresh_residuals(state)
     timings["beta"] += time.perf_counter() - tic
 

@@ -159,7 +159,7 @@ def pin_blocks(monkeypatch, *blocks, beta=None, tau_sq=None, r=None):
 
     stubs = {
         "u": {"sample_u_sweep": lambda state, fc, ws, rng: state.u},
-        "beta": {"sample_beta": lambda fc, rng: beta},
+        "beta": {"sample_beta": lambda fc, ws, state, rng: beta},
         "sigma2": {"sample_sigma2_mh": lambda state, *args: (state.sigma2, False)},
         "rho": {"sample_rho_mh": lambda state, *args: (state.rho, False)},
         "hyper": {"init_state": init_pinned,

@@ -1,5 +1,7 @@
 """Full-conditional and leave-one-out formulas against the dense brute-force
 construction that materializes the 2n x 2n error covariance."""
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -300,10 +302,33 @@ def test_sweep_fallback_branch_runs(monkeypatch):
 
 def test_sample_beta_mean_and_covariance():
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(50, 20, 2)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    rng = np.random.default_rng(51)
+    draws = np.array([np.concatenate(sample_beta(fc, ws, state, rng)) for _ in range(40_000)])
+    assert np.allclose(draws.mean(axis=0), full_conditional_mean(fc, ws, sigma2, rho), atol=0.01)
+    assert np.allclose(np.cov(draws.T), fc.chol_inv.T @ fc.chol_inv, atol=0.01)
+
+
+def test_sample_beta_forms_its_mean_from_the_statistic():
+    # the draw is _beta_mean(L^-1, t) + L^-T eps bit for bit, t the statistic
+    # at ws.xtu, eps the next 2p normals of the generator it is given
+    X, y, u, z, sigma2, rho, v1, v2 = random_instance(52, 15, 3)
+    ws, state = make_ws(X, y, u, z, sigma2, rho)
+    fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
+    gen = np.random.default_rng(53)
+    clone = copy.deepcopy(gen)
+    beta1, beta2 = sample_beta(fc, ws, state, gen)
+    want = (sampler_mod._beta_mean(fc.chol_inv, sampler_mod._statistic(ws, sigma2, rho))
+            + fc.chol_inv.T @ clone.standard_normal(6))
+    assert np.array_equal(np.concatenate((beta1, beta2)), want)
+    assert gen.bit_generator.state == clone.bit_generator.state
+
+
+def test_full_conditional_is_frozen():
+    X, y, u, z, sigma2, rho, v1, v2 = random_instance(54, 10, 2)
     ws, _ = make_ws(X, y, u, z)
     fc = compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
-    fc.mu_beta = full_conditional_mean(fc, ws, sigma2, rho)
-    rng = np.random.default_rng(51)
-    draws = np.array([np.concatenate(sample_beta(fc, rng)) for _ in range(40_000)])
-    assert np.allclose(draws.mean(axis=0), fc.mu_beta, atol=0.01)
-    assert np.allclose(np.cov(draws.T), fc.chol_inv.T @ fc.chol_inv, atol=0.01)
+    for name in ("chol_inv", "precision"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fc, name, np.zeros(1))

@@ -127,6 +127,25 @@ def _write_fit_outputs(out_dir, chain, meta):
                                 chain.column(name), meta=meta)
 
 
+def _check_output_path(args) -> None:
+    """Raise OSError, before the command reads or samples anything, where its
+    output cannot be written: an --out-dir that exists and is not a directory
+    or whose nearest existing ancestor is not one, an --out that is a
+    directory or whose directory does not exist. Creates nothing."""
+    if hasattr(args, "out_dir"):
+        flag, value = "--out-dir", args.out_dir
+        path = os.path.abspath(value)
+        while not os.path.exists(path):         # the root exists, so this stops
+            path = os.path.dirname(path)
+    else:
+        flag, value = "--out", args.out
+        if os.path.isdir(value):
+            raise IsADirectoryError(f"--out {value} is a directory")
+        path = os.path.dirname(os.path.abspath(value))
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"{flag} {value}: {path} is not an existing directory")
+
+
 # --- subcommands -----------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -321,6 +340,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_output_path(args)
         return args.func(args)
     except (bio.DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -285,8 +285,7 @@ def write_diagnostics_csv(path, acceptance, steps, loo_fallbacks, ess, acf_table
     """acceptance: {target: rate}; steps: {target: final MH step size};
     loo_fallbacks: count of leave-one-out fallback evaluations; ess:
     {param: value}; acf_table: {param: array of autocorrelations by lag}."""
-    rows = [["acceptance", target, "", _fmt(rate) if rate == rate else "nan"]
-            for target, rate in acceptance.items()]
+    rows = [["acceptance", target, "", _fmt(rate)] for target, rate in acceptance.items()]
     rows += [["mh_step", target, "", _fmt(step)] for target, step in steps.items()]
     rows.append(["loo_fallbacks", "u", "", str(int(loo_fallbacks))])
     rows += [["ess", name, "", _fmt(value)] for name, value in ess.items()]

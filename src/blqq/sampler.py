@@ -159,7 +159,7 @@ class SamplerWorkspace:
         Xp = np.zeros((-(-n // _BLOCK) * _BLOCK, p + 1))
         Xp[:n, :p] = X
         ws.x_blocks = [Xp[i0:min(i0 + _BLOCK, n)] for i0 in range(0, n, _BLOCK)]
-        ws.x_blocks_t = Xp.reshape(-1, _BLOCK, p + 1).transpose(0, 2, 1)
+        ws.x_blocks_t = np.ascontiguousarray(Xp.reshape(-1, _BLOCK, p + 1).transpose(0, 2, 1))
         below = np.flatnonzero(np.tri(_BLOCK, k=-1))                # by rows
         ws.below = (np.arange(len(ws.x_blocks))[:, None] * _BLOCK ** 2 + below).ravel()
         ws.sign = np.where(ws.z == 1, 1.0, -1.0)
@@ -227,11 +227,10 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
     # factor of an overflowed A holds nan; the bound below is then not finite,
     # and the eigenvalue test decides and names the failure.
     with np.errstate(over="ignore", invalid="ignore"):
-        A = np.empty((2 * p, 2 * p))
-        A[:p, :p] = k11 * ws.gram
-        A[p:, p:] = k22 * ws.gram
-        A[:p, p:] = k12 * ws.gram
-        A[p:, :p] = A[:p, p:].T
+        # blocks k_ab X'X, the off-diagonal ones each other's transpose
+        # because X'X is exactly symmetric
+        K = np.array([[k11, k12], [k12, k22]])
+        A = (K[:, None, :, None] * ws.gram[None, :, None, :]).reshape(2 * p, 2 * p)
         diag = A.reshape(-1)[::2 * p + 1]          # a view of A's diagonal
         diag[:p] += 1.0 / v1
         diag[p:] += 1.0 / v2
@@ -250,7 +249,7 @@ def compute_beta_full_conditional(ws: SamplerWorkspace, sigma2, rho, v1, v2) -> 
         # is well inside _COND_LIMIT the eigenvalue test must accept too; the
         # factor 1/2 keeps rounding in the bound and in eigvalsh from flipping
         # a verdict at the limit.
-        bound = 2 * p * float(np.dot(np.diag(A), np.einsum("ij,ij->j", Linv, Linv)))
+        bound = 2 * p * float(np.dot(diag, np.einsum("ij,ij->j", Linv, Linv)))
     if not bound <= 0.5 * _COND_LIMIT:       # also where bound is nan
         _check_conditioning(A)
     return FullConditionalBeta(chol_inv=Linv, precision=A)
@@ -336,8 +335,8 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
         mu = _beta_mean(fc.chol_inv, t0)
         # [coef_i, base_i], padded with zero rows to whole blocks
         Rp = np.zeros((len(ws.x_blocks) * _BLOCK, p + 1))
-        R = np.matmul(X, _sweep_kernel(fc.chol_inv, w), out=Rp[:n, :p])
-        d = np.einsum("ij,ij->i", R, X)               # b_i' Sigma_beta b_i
+        XK = X @ _sweep_kernel(fc.chol_inv, w)
+        d = np.einsum("ij,ij->i", XK, X)              # b_i' Sigma_beta b_i
         denom = 1.0 - c * d
         fallback = np.flatnonzero(denom < _DENOM_FLOOR).tolist()   # nan stays closed-form
         q = 1.0 / denom
@@ -345,7 +344,7 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
         wy = w * y
         a = X @ (mu[:p] - w * mu[p:])
         Rp[:n, p] = wy + q * (a - c * d * (u - wy))
-        R *= (c * q)[:, None]
+        R = np.multiply(XK, (c * q)[:, None], out=Rp[:n, :p])
         for i in fallback:
             b = np.concatenate((X[i], -w * X[i]))
             try:
@@ -363,21 +362,24 @@ def sample_u_sweep(state: ParameterState, fc: FullConditionalBeta,
         uni = gen.random(n)
 
         ul = []
+        keep = ul.append
         gA = np.zeros(p + 1)                          # [g; 1]
         gA[p] = 1.0
         uu, sds, unis = u.tolist(), sd.tolist(), uni.tolist()
         for i0, Xb, Rb in zip(range(0, n, _BLOCK), ws.x_blocks, RB):
             i1 = i0 + _BLOCK
             deltas = []
+            step = deltas.append
             for base, ui, sdi, unif in zip((Rb @ gA).tolist(), uu[i0:i1], sds[i0:i1], unis[i0:i1]):
                 # map stops at deltas first, so row k takes its k kernel entries
                 un = draw(base + sum(map(mul, deltas, kern)), sdi, unif, gen)
-                deltas.append(un - ui)
-                ul.append(un)
+                step(un - ui)
+                keep(un)
             gA += np.dot(deltas, Xb)
         u[:] = ul
         xtu = X.T @ u               # the accumulated X'u, checked against a fresh product
-        if np.linalg.norm(ws.xtu + gA[:p] - xtu) > 1e-8 * max(np.linalg.norm(xtu), 1.0):
+        drift = ws.xtu + gA[:p] - xtu
+        if math.sqrt(drift @ drift) > 1e-8 * max(math.sqrt(xtu @ xtu), 1.0):
             raise RuntimeError("incremental X'u statistic drifted")
     ws.xtu = xtu
     return u

@@ -269,6 +269,42 @@ def test_missing_input_file_exit_2(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,flag,target,message", [
+    ("fit", "--out-dir", "file", "is not an existing directory"),
+    ("fit", "--out-dir", "file/sub", "is not an existing directory"),
+    ("replicate", "--out-dir", "file", "is not an existing directory"),
+    ("predict", "--out", "file/p.csv", "is not an existing directory"),
+    ("predict", "--out", "dir", "is a directory"),
+    ("summarize", "--out", "file/s.csv", "is not an existing directory"),
+    ("summarize", "--out", "missing/s.csv", "is not an existing directory")],
+    ids=["fit-file", "fit-under-file", "replicate-file", "predict-under-file", "predict-dir",
+         "summarize-under-file", "summarize-under-missing"])
+def test_unwritable_output_path_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, flag, target, message):
+    # an output path that cannot be written is named before the command reads
+    # a chain or samples one, and nothing is created on the way
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("blqq.cli.run_chain", "blqq.baselines.run_chain", "blqq.io.read_chain_csv"):
+        monkeypatch.setattr(name, must_not_run)
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y,z\n0.1,0.2,1\n0.3,0.4,0\n0.5,-0.1,1\n")
+    (tmp_path / "file").write_text("in the way\n")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "fit": ["fit", "--data", data, *FAST],
+        "replicate": ["replicate", "--p", "4", "--replicates", "1", *FAST],
+        "predict": ["predict", "--chain", tmp_path / "chain.csv", "--data", data],
+        "summarize": ["summarize", "--chain", tmp_path / "chain.csv"],
+    }[command]
+    assert run([*argv, flag, tmp_path / target]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "in the way\n"
+
+
 def test_config_storing_no_draws_exit_2(tmp_path, capsys):
     # (iterations - burn_in) // thin = 0: rejected before any sampling
     _, _, train = fit_once(tmp_path, "fit")

@@ -319,8 +319,7 @@ def test_sample_beta_forms_its_mean_from_the_statistic():
     gen = np.random.default_rng(53)
     clone = copy.deepcopy(gen)
     beta1, beta2 = sample_beta(fc, ws, state, gen)
-    want = (sampler_mod._beta_mean(fc.chol_inv, sampler_mod._statistic(ws, sigma2, rho))
-            + fc.chol_inv.T @ clone.standard_normal(6))
+    want = full_conditional_mean(fc, ws, sigma2, rho) + fc.chol_inv.T @ clone.standard_normal(6)
     assert np.array_equal(np.concatenate((beta1, beta2)), want)
     assert gen.bit_generator.state == clone.bit_generator.state
 

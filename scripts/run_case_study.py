@@ -59,11 +59,9 @@ def main():
 
         y_hat, _, z_hat = predict_draws(chain, Xte, y=yte, z=full.z[te])
         lo, hi = np.quantile(chain.rho, [0.025, 0.975])
-        rows.append([str(split), repr(float(chain.rho.mean())), repr(float(lo)), repr(float(hi)),
-                     repr(float(rmse(yte, y_hat) * ysd)),
-                     repr(misclassification(full.z[te], z_hat))])
-        print(f"split {split}: rho_hat {chain.rho.mean():+.3f}  "
-              f"RMSE {rmse(yte, y_hat) * ysd:.0f} g  ME {misclassification(full.z[te], z_hat):.3f}")
+        rmse_g, me = rmse(yte, y_hat) * ysd, misclassification(full.z[te], z_hat)
+        rows.append([split, chain.rho.mean(), lo, hi, rmse_g, me])
+        print(f"split {split}: rho_hat {chain.rho.mean():+.3f}  RMSE {rmse_g:.0f} g  ME {me:.3f}")
 
     bio._write_table(os.path.join(args.out_dir, "splits.csv"),
                      ["split", "rho_hat", "rho_q2.5", "rho_q97.5", "rmse_grams", "me"], rows,

@@ -257,18 +257,17 @@ def cmd_replicate(args) -> int:
         name = _setting_name(rho, p, s)
         rows = run_setting(rho, p, s, args.replicates, prior, cfg)
         for k, method, report, status in rows:
-            cells = [name, str(k), method, status]
+            cells = [name, k, method, status]
             if report is None:
                 cells += [""] * (len(raw_header) - len(cells))
             else:
-                cells += [repr(float(getattr(report, f))) for f in LOSS_FIELDS]
-                cells += [str(report.fp), str(report.fn)]
+                cells += [float(getattr(report, f)) for f in LOSS_FIELDS] + [report.fp, report.fn]
             raw_rows.append(cells)
         for method, stats in _aggregate(rows).items():
             for measure, (mean, se, n_ok) in stats.items():
                 if n_ok < args.replicates:
                     measure += " (incomplete)"
-                agg_rows.append([name, method, measure, repr(mean), repr(se), str(n_ok)])
+                agg_rows.append([name, method, measure, mean, se, n_ok])
 
     meta = bio.config_meta(cfg, prior, extra={"replicates": args.replicates})
     os.makedirs(args.out_dir, exist_ok=True)

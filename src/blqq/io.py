@@ -3,10 +3,11 @@
 One reader, _read_table, and one writer, _write_table, decide the format of
 every file blqq reads or writes: comma-separated cells, never quoted, with
 LF line endings and '.' decimals; provenance (seed and configuration) in
-leading '#key: value' lines; shortest round-trip float formatting, so
-parse(write(x)) == x exactly. Both are private, as bench/tracing.py counts
-I/O at the public read_/parse_/write_ calls; blqq replicate's two loss tables
-and scripts/run_case_study.py's splits.csv call _write_table directly.
+leading '#key: value' lines. Writers pass values; _write_table turns each
+into text (_text), a float in shortest round-trip form: parse(write(x)) ==
+x exactly. Both are private, as bench/tracing.py counts I/O at the public
+read_/parse_/write_ calls; blqq replicate's two loss tables and
+scripts/run_case_study.py's splits.csv call _write_table directly.
 
 The files blqq reads, datasets and chains, hold only numbers below the
 header, and np.loadtxt parses them in C, bit for bit as float() would. So
@@ -32,8 +33,14 @@ class DatasetFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
+def _text(v) -> str:
+    """A value as _write_table writes it: a str as it is, an integer in decimal,
+    any other number as repr(float(v)), the shortest text of that double."""
+    if type(v) is float or type(v) is int:
+        return repr(v)
+    if isinstance(v, str):
+        return v
+    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
 
 
 def config_meta(cfg: ChainConfig, prior: PriorConfig, extra=None) -> dict:
@@ -138,12 +145,12 @@ def _row_error(path, what, header) -> DatasetFormatError:
 
 def _write_table(path, header, rows, meta=None, trailer=None):
     """Write a CSV file: a '#key: value' line per meta entry, the header, one
-    line per row of already formatted cells, and a '#key: value' line per
-    trailer entry. Cells are joined as they are, never quoted."""
-    lines = [f"#{k}: {v}" for k, v in (meta or {}).items()]
+    line per row of values, and a '#key: value' line per trailer entry. Each
+    value is written as _text gives it; cells are never quoted."""
+    lines = [f"#{k}: {_text(v)}" for k, v in (meta or {}).items()]
     lines.append(",".join(header))
-    lines.extend(",".join(cells) for cells in rows)
-    lines.extend(f"#{k}: {v}" for k, v in (trailer or {}).items())
+    lines.extend(",".join(map(_text, cells)) for cells in rows)
+    lines.extend(f"#{k}: {_text(v)}" for k, v in (trailer or {}).items())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -196,7 +203,7 @@ def parse_dataset_csv(path, require_responses: bool = True):
         k, j = divmod(int(np.argmin(ok)), ok.shape[1])
         rule = "be 0 or 1" if j == z_idx else "be finite"
         raise DatasetFormatError(f"line {linenos[k]}: column {header[j]!r} must {rule}, "
-                                 f"found {_fmt(values[k, j])}")
+                                 f"found {_text(values[k, j])}")
     # C-ordered copies (take, not fancy indexing): BLAS may round a strided
     # or Fortran-ordered operand differently
     X = values.take(pred_idx, axis=1)
@@ -214,18 +221,17 @@ def parse_dataset_csv(path, require_responses: bool = True):
 def write_dataset_csv(path, data: Dataset, orders: EffectOrders = None, meta=None):
     meta = dict(meta or {})
     if orders is not None:
-        meta["orders"] = ",".join(str(int(o)) for o in orders.orders)
+        meta["orders"] = ",".join(map(_text, orders.orders.tolist()))
     _write_table(path, list(data.columns) + ["y", "z"],
-                 ([_fmt(v) for v in data.X[i]] + [_fmt(data.y[i]), str(int(data.z[i]))]
-                  for i in range(data.n)), meta=meta)
+                 (x + [y, z] for x, y, z in zip(data.X.tolist(), data.y.tolist(),
+                                                data.z.astype(int).tolist())), meta=meta)
 
 
 # --- chain -----------------------------------------------------------------
 
 def write_chain_csv(path, chain: Draws, meta=None):
     _write_table(path, ["iteration"] + chain.names,
-                 ([str(i)] + [_fmt(v) for v in row] for i, row in enumerate(chain.draws)),
-                 meta=meta)
+                 ([i] + row for i, row in enumerate(chain.draws.tolist())), meta=meta)
 
 
 def _draw_column_index(header) -> list:
@@ -269,27 +275,26 @@ def _check_support(chain: Draws):
         name = chain.names[j]
         lo, hi = _SUPPORT.get(name, (-np.inf, np.inf))
         raise DatasetFormatError(f"draw {k + 1}: column {name!r} holds "
-                                 f"{_fmt(chain.draws[k, j])}, outside ({_fmt(lo)}, {_fmt(hi)})")
+                                 f"{_text(chain.draws[k, j])}, outside ({_text(lo)}, {_text(hi)})")
 
 
 # --- summaries, diagnostics, histograms ------------------------------------
 
 def write_summary_csv(path, summary: PosteriorSummary, meta=None):
     _write_table(path, ["parameter", "mean", "sd", "q2.5", "q97.5"],
-                 ([name, _fmt(summary.mean[k]), _fmt(summary.sd[k]), _fmt(summary.q025[k]),
-                   _fmt(summary.q975[k])] for k, name in enumerate(summary.names)),
-                 meta=meta)
+                 zip(summary.names, summary.mean.tolist(), summary.sd.tolist(),
+                     summary.q025.tolist(), summary.q975.tolist()), meta=meta)
 
 
 def write_diagnostics_csv(path, acceptance, steps, loo_fallbacks, ess, acf_table, meta=None):
     """acceptance: {target: rate}; steps: {target: final MH step size};
     loo_fallbacks: count of leave-one-out fallback evaluations; ess:
     {param: value}; acf_table: {param: array of autocorrelations by lag}."""
-    rows = [["acceptance", target, "", _fmt(rate)] for target, rate in acceptance.items()]
-    rows += [["mh_step", target, "", _fmt(step)] for target, step in steps.items()]
-    rows.append(["loo_fallbacks", "u", "", str(int(loo_fallbacks))])
-    rows += [["ess", name, "", _fmt(value)] for name, value in ess.items()]
-    rows += [["acf", name, str(lag), _fmt(value)]
+    rows = [["acceptance", target, "", float(rate)] for target, rate in acceptance.items()]
+    rows += [["mh_step", target, "", float(step)] for target, step in steps.items()]
+    rows.append(["loo_fallbacks", "u", "", int(loo_fallbacks)])
+    rows += [["ess", name, "", float(value)] for name, value in ess.items()]
+    rows += [["acf", name, lag, float(value)]
              for name, values in acf_table.items() for lag, value in enumerate(values)]
     _write_table(path, ["record", "name", "lag", "value"], rows, meta=meta)
 
@@ -322,27 +327,24 @@ def write_histogram_csv(path, draws, meta=None):
     draws = np.asarray(draws, dtype=float)
     counts, edges = np.histogram(draws, bins=_histogram_edges(draws))
     _write_table(path, ["bin_left", "bin_right", "count"],
-                 ([_fmt(edges[k]), _fmt(edges[k + 1]), str(int(counts[k]))]
-                  for k in range(counts.shape[0])), meta=meta)
+                 zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()), meta=meta)
 
 
 def write_predictions_csv(path, y_hat, p_z1, z_hat, y_true=None, z_true=None,
                           losses=None, meta=None):
-    columns = {"row": map(str, range(len(y_hat))), "y_hat": map(_fmt, y_hat),
-               "p_z1": map(_fmt, p_z1), "z_hat": (str(int(v)) for v in z_hat)}
-    if y_true is not None:
-        columns["y_true"] = map(_fmt, y_true)
-    if z_true is not None:
-        columns["z_true"] = (str(int(v)) for v in z_true)
+    columns = {"row": range(len(y_hat)), "y_hat": y_hat, "p_z1": p_z1, "z_hat": z_hat,
+               "y_true": y_true, "z_true": z_true}
+    columns = {k: np.asarray(v, dtype=int if k in ("row", "z_hat", "z_true") else float).tolist()
+               for k, v in columns.items() if v is not None}
     _write_table(path, list(columns), zip(*columns.values()), meta=meta,
-                 trailer={k: _fmt(v) for k, v in (losses or {}).items()})
+                 trailer={k: float(v) for k, v in (losses or {}).items()})
 
 
 def write_truth_csv(path, rep, meta=None):
     """The true coefficients, with the true rho and sigma2 as the last two
     provenance lines; a meta entry of either name is written there once."""
-    truth = {"rho_true": _fmt(rep.rho_true), "sigma2_true": _fmt(rep.sigma2_true)}
+    truth = {"rho_true": float(rep.rho_true), "sigma2_true": float(rep.sigma2_true)}
     meta = {k: v for k, v in (meta or {}).items() if k not in truth}
     _write_table(path, ["index", "beta1_true", "beta2_true"],
-                 ([str(j + 1), _fmt(rep.beta1_true[j]), _fmt(rep.beta2_true[j])]
-                  for j in range(rep.beta1_true.shape[0])), meta={**meta, **truth})
+                 zip(range(1, len(rep.beta1_true) + 1), rep.beta1_true.tolist(),
+                     rep.beta2_true.tolist()), meta={**meta, **truth})

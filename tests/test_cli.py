@@ -799,6 +799,12 @@ def test_replicate_small_grid(tmp_path):
     assert body[0].startswith("setting,replicate,method,status,")
     assert len(body) == 1 + 2 * 2  # 2 replicates x 2 methods
     assert all(",ok," in l for l in body[1:])
+    # every loss is a float cell, fsl included (3.0, not 3); fp and fn are counts
+    header = body[0].split(",")
+    for line in body[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert all(row[f] == repr(float(row[f])) for f in cli.LOSS_FIELDS), line
+        assert row["fp"].isdigit() and row["fn"].isdigit(), line
     agg = (out / "losses_summary.csv").read_text()
     assert "rho0.85_p4_s0.25,blqq,rmse," in agg
     assert "rho0.85_p4_s0.25,smb,me," in agg

@@ -24,6 +24,21 @@ def extreme_doubles(rng, n):
     return np.concatenate([fixed, spread])[:n]
 
 
+def test_write_table_formats_every_value(tmp_path):
+    # _write_table turns each value into text: a str as it is, an integer
+    # (Python or numpy) in decimal, any other number as repr(float(v)), in
+    # cells and in '#key: value' lines alike
+    cells = [0.1, 1e16, 1e-05, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
+             np.float64(2.5), 7, np.int64(-3), "abc", ""]
+    header = [f"c{k}" for k in range(len(cells))]
+    path = tmp_path / "t.csv"
+    bio._write_table(path, header, [cells], meta={"m": 0.25}, trailer={"t": np.float64(1e-07)})
+    text = path.read_text()
+    assert text == ("#m: 0.25\n" + ",".join(header) + "\n"
+                    "0.1,1e+16,1e-05,-0.0,5e-324,nan,inf,-inf,2.5,7,-3,abc,\n#t: 1e-07\n")
+    assert "np.float64(" not in text
+
+
 def test_dataset_round_trip_exact(tmp_path):
     data = sample_data()
     data.X[:] = extreme_doubles(np.random.default_rng(7), data.X.size).reshape(data.X.shape)

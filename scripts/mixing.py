@@ -9,7 +9,9 @@ this process, with one BLAS thread, on simulated data: for each seed s,
 gen_replicate(SimulationScenario(p=p, sparsity=0.2, rho_true=0.85,
 n_train=n, replicates=1, base_seed=s), 0).train with every effect order 1,
 and a chain of ChainConfig(iterations=I, burn_in=500, seed=s) under the
-default prior. The shapes (n, p, I) are
+default prior. It calls run_chain(data, prior, cfg); a checkout older than
+the Dataset that carries its effect orders, whose run_chain still takes an
+orders argument, needs its own copy of this script. The shapes (n, p, I) are
 
     n1000_p10: 1000 rows, 10 columns, 6,000 iterations
     n300_p10:   300 rows, 10 columns, 10,000 iterations
@@ -47,9 +49,8 @@ def run(checkout, shapes, seeds):
     if not os.path.isfile(os.path.join(src, "blqq", "sampler.py")):
         sys.exit(f"no blqq sources under {src}")
     sys.path.insert(0, src)
-    import numpy as np
     from blqq.metrics import effective_sample_size
-    from blqq.model import ChainConfig, EffectOrders, PriorConfig, draw_columns
+    from blqq.model import ChainConfig, PriorConfig, draw_columns
     from blqq.sampler import run_chain
     from blqq.simulate import SimulationScenario, gen_replicate
 
@@ -59,7 +60,7 @@ def run(checkout, shapes, seeds):
             data = gen_replicate(SimulationScenario(
                 p=p, sparsity=0.2, rho_true=0.85, n_train=n, replicates=1, base_seed=seed), 0).train
             tic = time.perf_counter()
-            out = run_chain(data, EffectOrders(np.ones(p, dtype=int)), PriorConfig(),
+            out = run_chain(data, PriorConfig(),
                             ChainConfig(iterations=iterations, burn_in=BURN_IN, seed=seed))
             seconds = time.perf_counter() - tic
             ess = {name: effective_sample_size(col)

@@ -14,7 +14,7 @@ import numpy as np
 
 from blqq import io as bio
 from blqq.metrics import misclassification, rmse
-from blqq.model import ChainConfig, Dataset, EffectOrders, PriorConfig, predict_draws
+from blqq.model import ChainConfig, Dataset, PriorConfig, predict_draws
 from blqq.sampler import run_chain
 from blqq.simulate import gen_birth_records
 
@@ -37,7 +37,6 @@ def main():
 
     os.makedirs(args.out_dir, exist_ok=True)
     full = gen_birth_records(seed=args.seed, n=args.n, rho=args.rho)
-    orders = EffectOrders(np.ones(full.p, dtype=int))
     prior = PriorConfig()
 
     rows = []
@@ -49,11 +48,11 @@ def main():
         ymu, ysd = full.y[tr].mean(), full.y[tr].std()
         Xtr, ytr = standardize(full.X[tr], full.y[tr], mu, sd, ymu, ysd)
         Xte, yte = standardize(full.X[te], full.y[te], mu, sd, ymu, ysd)
-        train = Dataset(Xtr, ytr, full.z[tr], columns=full.columns)
+        train = Dataset(Xtr, ytr, full.z[tr], columns=full.columns, orders=full.orders)
 
         cfg = ChainConfig(iterations=args.iterations, burn_in=args.burn_in,
                           seed=args.seed + 17 * split)
-        chain = run_chain(train, orders, prior, cfg)
+        chain = run_chain(train, prior, cfg)
         bio.write_chain_csv(os.path.join(args.out_dir, f"split{split}_chain.csv"),
                             chain, meta=bio.config_meta(cfg, prior, extra={"split": split}))
 

@@ -19,7 +19,10 @@ base_seed=seed), 0).train with every effect order 1 and the default prior,
 and prints for each chain its seconds and, largest first, the microseconds
 per scan of each statement that ran, with its line in sampler.py. The
 figure of _iterate's call of sample_u_sweep holds the timed statements of
-sample_u_sweep too. p must make 0.2 p a whole number.
+sample_u_sweep too. p must make 0.2 p a whole number. It calls
+run_chain(data, prior, cfg); a checkout older than the Dataset that carries
+its effect orders, whose run_chain still takes an orders argument, needs its
+own copy of this script.
 
 The timer costs each statement two perf_counter calls and one list update,
 which it adds to that statement's figure: 0.15 us per statement, about 7 us
@@ -128,16 +131,14 @@ def main(argv=None):
     if not os.path.isfile(os.path.join(src, "blqq", "sampler.py")):
         sys.exit(f"no blqq sources under {src}")
     sys.path.insert(0, src)
-    import numpy as np
     import blqq.sampler as sampler
-    from blqq.model import ChainConfig, EffectOrders, PriorConfig
+    from blqq.model import ChainConfig, PriorConfig
     from blqq.simulate import SimulationScenario, gen_replicate
 
     print(f"timer cost: {1e6 * _timer_cost():.3f} us per timed statement")
     data = gen_replicate(SimulationScenario(
         p=args.p, sparsity=0.2, rho_true=0.85, n_train=args.n, replicates=1,
         base_seed=args.seed), 0).train
-    orders = EffectOrders(np.ones(args.p, dtype=int))
     original = sampler._iterate
     for model, freeze in (("joint", False), ("smb", True)):
         acc = []
@@ -147,7 +148,7 @@ def main(argv=None):
         sampler._iterate = copies["_iterate"]
         try:
             tic = time.perf_counter()
-            sampler.run_chain(data, orders, PriorConfig(), cfg)
+            sampler.run_chain(data, PriorConfig(), cfg)
             seconds = time.perf_counter() - tic
         finally:
             sampler._iterate = original

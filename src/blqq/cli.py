@@ -27,7 +27,7 @@ from .metrics import (
     select_via_ci,
     summarize_draws,
 )
-from .model import ChainConfig, Dataset, EffectOrders, PriorConfig, predict_draws
+from .model import ChainConfig, Dataset, PriorConfig, predict_draws
 from .sampler import run_chain
 from .simulate import SimulationScenario, gen_replicate
 
@@ -159,26 +159,23 @@ def cmd_simulate(args) -> int:
         out = os.path.join(args.out_dir, _setting_name(rho, p, s))
         os.makedirs(out, exist_ok=True)
         meta = {"seed": args.seed, "rho_true": rho, "p": p, "sparsity": s}
-        orders = EffectOrders(np.ones(p, dtype=int))
         for k in range(args.replicates):
             rep = gen_replicate(scenario, k)
             rep_meta = dict(meta, replicate=k)
-            bio.write_dataset_csv(os.path.join(out, f"rep{k}_train.csv"),
-                                  rep.train, orders=orders, meta=rep_meta)
-            bio.write_dataset_csv(os.path.join(out, f"rep{k}_test.csv"),
-                                  rep.test, orders=orders, meta=rep_meta)
+            bio.write_dataset_csv(os.path.join(out, f"rep{k}_train.csv"), rep.train, meta=rep_meta)
+            bio.write_dataset_csv(os.path.join(out, f"rep{k}_test.csv"), rep.test, meta=rep_meta)
             bio.write_truth_csv(os.path.join(out, f"rep{k}_truth.csv"), rep, meta=rep_meta)
     return 0
 
 
 def cmd_fit(args) -> int:
-    data, orders = bio.parse_dataset_csv(args.data)
+    data = bio.parse_dataset_csv(args.data)
     cfg = _chain_config(args)
     prior = _prior_config(args)
     if args.model == "smb":
-        chain = fit_sm_b(data, orders, prior, cfg)
+        chain = fit_sm_b(data, prior, cfg)
     else:
-        chain = run_chain(data, orders, prior, cfg)
+        chain = run_chain(data, prior, cfg)
     meta = bio.config_meta(cfg, prior, extra={"model": args.model,
                                               "data": os.path.basename(args.data)})
     _write_fit_outputs(args.out_dir, chain, meta)
@@ -187,7 +184,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     chain = bio.read_chain_csv(args.chain)
-    data, _ = bio.parse_dataset_csv(args.data, require_responses=False)
+    data = bio.parse_dataset_csv(args.data, require_responses=False)
     if data.p != chain.p:
         raise bio.DatasetFormatError(
             f"dataset has {data.p} predictors but chain was fit with {chain.p}")
@@ -215,14 +212,13 @@ def run_setting(rho, p, s, replicates, prior: PriorConfig, cfg: ChainConfig):
     rows = []
     for k in range(replicates):
         rep = gen_replicate(scenario, k)
-        orders = EffectOrders(np.ones(p, dtype=int))
         for method in ("blqq", "smb"):
             rep_cfg = replace(cfg, seed=cfg.seed + 7919 * k + (0 if method == "blqq" else 1))
             try:
                 if method == "smb":
-                    chain = fit_sm_b(rep.train, orders, prior, rep_cfg)
+                    chain = fit_sm_b(rep.train, prior, rep_cfg)
                 else:
-                    chain = run_chain(rep.train, orders, prior, rep_cfg)
+                    chain = run_chain(rep.train, prior, rep_cfg)
                 report = evaluate_fit(chain, rep.test, rep.beta1_true, rep.beta2_true)
                 rows.append((k, method, report, "ok"))
             except RuntimeError as exc:     # run_chain's numeric failure

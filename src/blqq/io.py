@@ -9,6 +9,10 @@ x exactly. Both are private, as bench/tracing.py counts I/O at the public
 read_/parse_/write_ calls; blqq replicate's two loss tables and
 scripts/run_case_study.py's splits.csv call _write_table directly.
 
+A dataset file carries its effect orders in one '#orders:' line (all 1
+where there is none): parse_dataset_csv returns them inside the Dataset it
+reads, and write_dataset_csv writes the Dataset's own.
+
 The files blqq reads, datasets and chains, hold only numbers below the
 header, and np.loadtxt parses them in C, bit for bit as float() would. So
 every data cell must be a number as numpy spells one ('1_0' and non-ASCII
@@ -158,19 +162,22 @@ def _write_table(path, header, rows, meta=None, trailer=None):
 # --- dataset ---------------------------------------------------------------
 
 def parse_dataset_csv(path, require_responses: bool = True):
-    """Read a dataset file into (Dataset, EffectOrders).
+    """Read a dataset file into a Dataset.
 
     Header row is required; a `y` column (continuous) and a `z` column (0/1)
     are expected, all other columns are predictors in file order. An optional
-    `#orders:` comment supplies per-predictor effect orders (default all 1).
-    With require_responses=False either response column may be absent; the
-    Dataset then holds None for it.
+    `#orders:` comment, at most one, supplies the Dataset's per-predictor
+    effect orders (default all 1). With require_responses=False either
+    response column may be absent; the Dataset then holds None for it.
     """
     orders = {}                 # "spec", "line" of the #orders: comment
 
     def on_comment(body, lineno):
         if not body.startswith("orders:"):
             return
+        if orders:
+            raise DatasetFormatError(f"line {lineno}: repeated #orders: entry, "
+                                     f"first given on line {orders['line']}")
         try:
             spec = np.array([int(tok) for tok in body[len("orders:"):].split(",")], dtype=int)
         except (ValueError, OverflowError):
@@ -211,17 +218,17 @@ def parse_dataset_csv(path, require_responses: bool = True):
     z = values.take(z_idx, axis=1).astype(int) if has_z else None
 
     columns = [header[j] for j in pred_idx]
-    spec = orders.get("spec", np.ones(len(pred_idx), dtype=int))
-    if len(spec) != len(pred_idx):
-        raise DatasetFormatError(f"line {orders['line']}: #orders: lists {len(spec)} "
+    if orders and len(orders["spec"]) != len(pred_idx):
+        raise DatasetFormatError(f"line {orders['line']}: #orders: lists {len(orders['spec'])} "
                                  f"entries for {len(pred_idx)} predictors")
-    return Dataset(X, y, z, columns=columns), EffectOrders(spec)
+    return Dataset(X, y, z, columns=columns,
+                   orders=EffectOrders(orders["spec"]) if orders else None)
 
 
-def write_dataset_csv(path, data: Dataset, orders: EffectOrders = None, meta=None):
-    meta = dict(meta or {})
-    if orders is not None:
-        meta["orders"] = ",".join(map(_text, orders.orders.tolist()))
+def write_dataset_csv(path, data: Dataset, meta=None):
+    """Write a dataset file: its meta lines, then an '#orders:' line holding
+    data.orders, then the predictor columns, y and z."""
+    meta = dict(meta or {}, orders=",".join(map(_text, data.orders.orders.tolist())))
     _write_table(path, list(data.columns) + ["y", "z"],
                  (x + [y, z] for x, y, z in zip(data.X.tolist(), data.y.tolist(),
                                                 data.z.astype(int).tolist())), meta=meta)

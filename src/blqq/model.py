@@ -3,6 +3,9 @@
 The joint model ties a continuous response y and a binary response z through
 a latent Gaussian U: z = 1 iff u >= 0, with (U, Y) bivariate normal given x
 (unit latent variance, cross-covariance rho*sigma).
+
+A Dataset holds its design, both responses and the effect order of each
+column; the hierarchical prior N(0, tau^2 R) reads the orders through it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from .distributions import inverse_mills, std_normal_log_cdf
 
 @dataclass
 class Dataset:
-    """Design matrix plus the paired continuous/binary responses.
+    """Design matrix plus the paired continuous/binary responses, and the
+    effect order of each column (all 1 where none are given).
 
     A prediction input may leave either response out (None); a dataset to fit
     has both, and run_chain asks for at least two rows.
@@ -30,6 +34,7 @@ class Dataset:
     y: np.ndarray
     z: np.ndarray
     columns: list = None
+    orders: EffectOrders = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -51,6 +56,10 @@ class Dataset:
             self.z = self.z.astype(int)
         if self.columns is None:
             self.columns = [f"x{j + 1}" for j in range(self.X.shape[1])]
+        if self.orders is None:
+            self.orders = EffectOrders(np.ones(self.p, dtype=int))
+        if len(self.orders.orders) != self.p:
+            raise ValueError(f"{len(self.orders.orders)} effect orders given for {self.p} columns")
 
     @property
     def n(self) -> int:

@@ -77,11 +77,13 @@ _SWEEP_MAX_N = 500    # the most rows on which the u-step is the sweep; above, o
 
 
 class IllConditionedError(RuntimeError):
-    """Raised when the 2p x 2p full-conditional system is numerically singular."""
+    """Raised when the 2p x 2p full-conditional system is numerically singular,
+    or its precision overflowed (cond_estimate inf)."""
 
-    def __init__(self, cond_estimate):
+    def __init__(self, cond_estimate, overflowed=False):
         self.cond_estimate = cond_estimate
-        super().__init__(f"full-conditional system ill-conditioned (cond ~ {cond_estimate:.3e})")
+        what = "precision overflowed the float range" if overflowed else "system ill-conditioned"
+        super().__init__(f"full-conditional {what} (cond ~ {cond_estimate:.3e})")
 
 
 def _order_sums(beta, orders: EffectOrders):
@@ -192,10 +194,11 @@ def _check_conditioning(A: np.ndarray) -> None:
     D^-1/2 A D^-1/2 is positive definite with eigenvalue ratio at most
     _COND_LIMIT. A tiny prior variance (r at its clamp) only scales A badly,
     and the Cholesky factorization is indifferent to that scaling. An A that
-    is not finite (an overflowed Gram matrix) is rejected with cond inf before
-    eigvalsh, which returns nan for some such matrices and fails on others."""
+    is not finite (an overflowed Gram matrix, or a k_ab X'X block that
+    overflowed) is named as an overflow, with cond inf, before eigvalsh, which
+    returns nan for some such matrices and fails on others."""
     if not np.isfinite(A).all():
-        raise IllConditionedError(np.inf)
+        raise IllConditionedError(np.inf, overflowed=True)
     dinv = 1.0 / np.sqrt(np.diag(A))
     eigs = np.linalg.eigvalsh(A * np.outer(dinv, dinv))
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
@@ -610,15 +613,14 @@ def _iterate(state: ParameterState, hyper: HyperState, ws: SamplerWorkspace,
 _NUMERIC = (ArithmeticError, RuntimeError, ValueError)    # LinAlgError is a ValueError
 
 
-def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: ChainConfig) -> ChainOutput:
-    """Full Gibbs run: init, then cfg.iterations scans of _iterate. MH steps
-    adapt toward 0.35 acceptance during burn-in only; acceptances are counted
-    and draws stored after it. Arguments that cannot be fit raise ValueError;
-    after them, any _NUMERIC exception is a numeric failure: RuntimeError."""
+def run_chain(data: Dataset, prior: PriorConfig, cfg: ChainConfig) -> ChainOutput:
+    """Full Gibbs run under the effect orders data holds: init, then
+    cfg.iterations scans of _iterate. MH steps adapt toward 0.35 acceptance
+    during burn-in only; acceptances are counted and draws stored after it.
+    Arguments that cannot be fit raise ValueError; after them, any _NUMERIC
+    exception is a numeric failure: RuntimeError."""
     if data.n < 2 or data.y is None or data.z is None:
         raise ValueError("need n >= 2 rows and both responses, y and z")
-    if len(orders.orders) != data.p:
-        raise ValueError(f"{len(orders.orders)} effect orders given for {data.p} columns")
     try:
         state, hyper = init_state(data)
         ws = SamplerWorkspace.build(data, state)
@@ -640,7 +642,7 @@ def run_chain(data: Dataset, orders: EffectOrders, prior: PriorConfig, cfg: Chai
     s_idx = 0
     for j in range(1, cfg.iterations + 1):
         try:
-            hits = _iterate(state, hyper, ws, orders, prior, steps, rngs, joint, timings)
+            hits = _iterate(state, hyper, ws, data.orders, prior, steps, rngs, joint, timings)
         except _NUMERIC as exc:
             raise RuntimeError(f"numeric failure at iteration {j}: {exc}") from exc
 

@@ -17,7 +17,7 @@ from blqq.cli import _aggregate, main, run_setting
 from blqq.distributions import sample_scaled_inv_chi2
 from blqq.baselines import fit_sm_b
 from blqq.metrics import effective_sample_size
-from blqq.model import ChainConfig, Dataset, EffectOrders, ParameterState, PriorConfig
+from blqq.model import ChainConfig, Dataset, ParameterState, PriorConfig
 from blqq.sampler import (
     SamplerWorkspace,
     compute_beta_full_conditional,
@@ -82,7 +82,6 @@ def tiny_instance():
 def test_criterion_2_tiny_posterior_oracle():
     t0 = time.perf_counter()
     data = tiny_instance()
-    orders = EffectOrders([1])
     prior = PriorConfig()
     # hyperparameters pinned so the prior variance is exactly 2.0 * 0.5 = 1.0
     hyper = dict(tau_sq=2.0, r=0.5)
@@ -92,7 +91,7 @@ def test_criterion_2_tiny_posterior_oracle():
     state0, _ = init_state(data)
     with pytest.MonkeyPatch.context() as mp:
         oracles.pin_blocks(mp, "sigma2", "rho", "hyper", **hyper)
-        out = run_chain(data, orders, prior, cfg)
+        out = run_chain(data, prior, cfg)
     grid = np.linspace(-6.0, 8.0, 241)
     g1, g2 = oracles.grid_quadrature_posterior_mean_beta(
         data.X, data.y, data.z, state0.sigma2, state0.rho, 1.0, 1.0, grid)
@@ -105,7 +104,7 @@ def test_criterion_2_tiny_posterior_oracle():
     with pytest.MonkeyPatch.context() as mp:
         oracles.pin_blocks(mp, "u", "beta", "sigma2", "hyper",
                            beta=(state_r.beta1, state_r.beta2), **hyper)
-        out_r = run_chain(data, orders, prior, cfg_r)
+        out_r = run_chain(data, prior, cfg_r)
     eta = state_r.u - data.X @ state_r.beta1
     phi = data.y - data.X @ state_r.beta2
     rgrid = np.linspace(-0.9995, 0.9995, 8001)
@@ -134,12 +133,11 @@ def test_criterion_2_tiny_posterior_oracle():
 def test_criterion_3_rho_zero_decoupling():
     rep = gen_replicate(SimulationScenario(p=5, sparsity=0.2, rho_true=0.0,
                                            base_seed=31), 0)
-    orders = EffectOrders(np.ones(5, dtype=int))
     prior = PriorConfig()
     cfg_a = ChainConfig(iterations=4500, burn_in=500, seed=1)
     cfg_b = ChainConfig(iterations=4500, burn_in=500, seed=2, freeze_rho_at_zero=True)
-    smb = fit_sm_b(rep.train, orders, prior, cfg_a)
-    frozen = run_chain(rep.train, orders, prior, cfg_b)
+    smb = fit_sm_b(rep.train, prior, cfg_a)
+    frozen = run_chain(rep.train, prior, cfg_b)
     worst = 0.0
     for j in range(5):
         a = smb.beta2[:, j]
@@ -185,13 +183,12 @@ def test_criterion_5_table1_rho_neg05():
 
 def test_criterion_6_null_correlation_coverage():
     scenario = SimulationScenario(p=10, sparsity=0.2, rho_true=0.0, base_seed=0)
-    orders = EffectOrders(np.ones(10, dtype=int))
     prior = PriorConfig()
     covered = 0
     for k in range(10):
         rep = gen_replicate(scenario, k)
         cfg = ChainConfig(iterations=5000, burn_in=500, seed=300 + k)
-        out = run_chain(rep.train, orders, prior, cfg)
+        out = run_chain(rep.train, prior, cfg)
         lo, hi = np.quantile(out.rho, [0.025, 0.975])
         if lo <= 0.0 <= hi:
             covered += 1
@@ -234,8 +231,7 @@ def test_criterion_8_mh_health_grid():
                                                        rho_true=rho,
                                                        base_seed=800), 0)
                 cfg = ChainConfig(iterations=1500, burn_in=500, seed=801)
-                out = run_chain(rep.train, EffectOrders(np.ones(p, dtype=int)),
-                                prior, cfg)
+                out = run_chain(rep.train, prior, cfg)
                 for target, rate in out.acceptance.items():
                     if not 0.1 < rate < 0.7:
                         bad.append(f"rho={rho},p={p},s={s}:{target}={rate:.2f}")
@@ -247,7 +243,6 @@ def test_criterion_8_mh_health_grid():
 def test_criterion_9_case_study_schema():
     # real data are restricted; the synthetic schema-matched generator stands in
     full = gen_birth_records(seed=90, n=1000, rho=-0.85)
-    orders = EffectOrders(np.ones(9, dtype=int))
     prior = PriorConfig()
     rho_hats = []
     for split in range(5):
@@ -260,7 +255,7 @@ def test_criterion_9_case_study_schema():
         train = Dataset((Xtr - mu) / sd, (full.y[tr] - ymu) / ysd, full.z[tr],
                         columns=full.columns)
         cfg = ChainConfig(iterations=5000, burn_in=500, seed=910 + split)
-        out = run_chain(train, orders, prior, cfg)
+        out = run_chain(train, prior, cfg)
         rho_hats.append(float(out.rho.mean()))
     all_neg = all(r < 0 for r in rho_hats)
     mean_err = abs(np.mean(rho_hats) - (-0.85))

@@ -79,7 +79,7 @@ def test_simulate_writes_replicates(tmp_path):
     for k in (0, 1):
         for part in ("train", "test", "truth"):
             assert (setting / f"rep{k}_{part}.csv").exists()
-    data, orders = bio.parse_dataset_csv(setting / "rep0_train.csv")
+    data = bio.parse_dataset_csv(setting / "rep0_train.csv")
     assert data.X.shape == (100, 5)
     rep = gen_replicate(SimulationScenario(p=5, sparsity=0.2, rho_true=0.85, base_seed=3), 0)
     truth = setting / "rep0_truth.csv"
@@ -469,7 +469,7 @@ def test_high_effect_order(tmp_path, order, code):
     y = X @ [1.0, 0.5, 0.0] + rng.standard_normal(40)
     z = (X @ [1.0, -1.0, 0.0] + rng.standard_normal(40) > 0).astype(int)
     data = tmp_path / "data.csv"
-    bio.write_dataset_csv(data, Dataset(X, y, z), EffectOrders([1, 2, order]))
+    bio.write_dataset_csv(data, Dataset(X, y, z, orders=EffectOrders([1, 2, order])))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "blqq.cli", "fit",
                            "--data", str(data), "--out-dir", str(tmp_path / "o"), *FAST],

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,10 +44,10 @@ def test_dataset_round_trip_exact(tmp_path):
     data = sample_data()
     data.X[:] = extreme_doubles(np.random.default_rng(7), data.X.size).reshape(data.X.shape)
     data.y[:] = extreme_doubles(np.random.default_rng(8), data.n)[::-1]
-    orders = EffectOrders([1, 1, 2])
+    data = replace(data, orders=EffectOrders([1, 1, 2]))
     path = tmp_path / "d.csv"
-    bio.write_dataset_csv(path, data, orders=orders, meta={"seed": 0})
-    back, back_orders = bio.parse_dataset_csv(path)
+    bio.write_dataset_csv(path, data, meta={"seed": 0})
+    back = bio.parse_dataset_csv(path)
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(np.signbit(back.X), np.signbit(data.X))
@@ -54,7 +55,7 @@ def test_dataset_round_trip_exact(tmp_path):
     assert back.X.flags.c_contiguous and back.y.flags.c_contiguous
     assert np.array_equal(back.z, data.z)
     assert back.columns == data.columns
-    assert np.array_equal(back_orders.orders, orders.orders)
+    assert np.array_equal(back.orders.orders, [1, 1, 2])
 
 
 def test_dataset_write_deterministic(tmp_path):
@@ -99,6 +100,12 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(bio.DatasetFormatError, match="line 1: #orders: lists 2 entries"):
         bio.parse_dataset_csv(path)
 
+    # a second #orders: line is refused, not read over the first
+    write_lines(path, ["#orders: 1,1", "x1,x2,y,z", "#orders: 2,2", "1.0,2.0,3.0,1"])
+    with pytest.raises(bio.DatasetFormatError,
+                       match="^line 3: repeated #orders: entry, first given on line 1$"):
+        bio.parse_dataset_csv(path)
+
 
 def test_parse_skips_blank_and_comment_lines_crlf_and_quotes(tmp_path):
     # '#' and blank lines between rows, as a predictions file's '#rmse:'
@@ -106,7 +113,7 @@ def test_parse_skips_blank_and_comment_lines_crlf_and_quotes(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(b'#seed: 0\r\nx1,y,z\r\n1.5,"2.5",1\r\n\r\n#note: x\r\n'
                      b'-0.5, 1e-3 ,1.0\r\n#rmse: 0.5\r\n')
-    data, _ = bio.parse_dataset_csv(path)
+    data = bio.parse_dataset_csv(path)
     assert data.X.tolist() == [[1.5], [-0.5]]
     assert data.y.tolist() == [2.5, 0.001]
     assert data.z.tolist() == [1, 1] and data.z.dtype.kind == "i"
@@ -147,14 +154,14 @@ def test_parse_rejects_oversized_order(tmp_path):
 def test_parse_without_responses(tmp_path):
     path = tmp_path / "x.csv"
     write_lines(path, ["x1,x2", "1.0,2.0", "0.5,1.5"])
-    data, orders = bio.parse_dataset_csv(path, require_responses=False)
+    data = bio.parse_dataset_csv(path, require_responses=False)
     assert data.X.shape == (2, 2)
     assert data.y is None and data.z is None
     assert data.columns == ["x1", "x2"]
-    assert np.array_equal(orders.orders, [1, 1])
+    assert np.array_equal(data.orders.orders, [1, 1])
 
     write_lines(path, ["x1,y", "1.0,2.0"])
-    data, _ = bio.parse_dataset_csv(path, require_responses=False)
+    data = bio.parse_dataset_csv(path, require_responses=False)
     assert data.y.tolist() == [2.0] and data.z is None
 
 

@@ -32,6 +32,8 @@ def test_dataset_validation():
     data = Dataset(X, [1.0, 2.0, 3.0], [0, 1, 1])
     assert data.n == 3 and data.p == 2
     assert data.columns == ["x1", "x2"]
+    assert data.orders.orders.tolist() == [1, 1]       # effect orders default to 1
+    assert Dataset(X, None, None, orders=EffectOrders([0, 2])).orders.orders.tolist() == [0, 2]
     with pytest.raises(ValueError):
         Dataset(X, [1.0, np.nan, 3.0], [0, 1, 1])
     with pytest.raises(ValueError):
@@ -41,6 +43,16 @@ def test_dataset_validation():
     assert Dataset(X[:1], [1.0], [0]).n == 1   # fitting needs n >= 2, predicting does not
     with pytest.raises(ValueError):
         Dataset(X[:0], [], [])
+
+
+@pytest.mark.parametrize("orders, message", [
+    ([1], "^1 effect orders given for 3 columns$"),
+    ([1, 1, 1, 1], "^4 effect orders given for 3 columns$")], ids=["one-order", "four-orders"])
+def test_dataset_checks_effect_orders(orders, message):
+    # a Dataset holds one effect order per column, so run_chain and fit_sm_b
+    # never see orders that do not match the design
+    with pytest.raises(ValueError, match=message):
+        Dataset(np.ones((4, 3)), None, None, orders=EffectOrders(orders))
 
 
 def test_parameter_state_validation():

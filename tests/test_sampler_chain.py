@@ -19,25 +19,18 @@ def small_data(seed=0, n=60, p=3, rho=0.5):
     return rep.train
 
 
-def default_setup(data):
-    return EffectOrders(np.ones(data.p, dtype=int)), PriorConfig()
-
-
-@pytest.mark.parametrize("case, message", [
-    ("no-y", "both responses"), ("no-z", "both responses"),
-    ("one-order", "1 effect orders given for 3 columns"),
-    ("four-orders", "4 effect orders given for 3 columns")])
+@pytest.mark.parametrize("case, message", [("no-y", "both responses"), ("no-z", "both responses")])
 def test_run_chain_checks_arguments(case, message):
-    # a dataset or orders that cannot be fit are invalid arguments, rejected
-    # before the start, not numeric failures deep in the chain
+    # a dataset that cannot be fit is an invalid argument, rejected before the
+    # start, not a numeric failure deep in the chain (a Dataset itself rejects
+    # effect orders that do not match its columns: tests/test_model.py)
     data = small_data(n=20)
-    orders = {"one-order": [1], "four-orders": [1, 1, 1, 1]}.get(case, [1, 1, 1])
     if case == "no-y":
         data = Dataset(data.X, None, data.z)
     elif case == "no-z":
         data = Dataset(data.X, data.y, None)
     with pytest.raises(ValueError, match=message):
-        run_chain(data, EffectOrders(orders), PriorConfig(), ChainConfig(iterations=20, burn_in=5))
+        run_chain(data, PriorConfig(), ChainConfig(iterations=20, burn_in=5))
 
 
 def test_init_state_basics():
@@ -105,10 +98,9 @@ def test_init_state_rho_on_tiny_y(scale):
 
 
 def run_small(data, **kw):
-    orders, prior = default_setup(data)
     cfg = ChainConfig(iterations=kw.pop("iterations", 300),
                       burn_in=kw.pop("burn_in", 100), **kw)
-    return run_chain(data, orders, prior, cfg)
+    return run_chain(data, PriorConfig(), cfg)
 
 
 def test_chain_shapes_and_bookkeeping():
@@ -133,7 +125,6 @@ def test_timing_buckets_keep_the_full_conditional_out_of_the_sweep(monkeypatch):
     # a full conditional slowed by 20 ms per call shows in beta_fc only;
     # u_sweep times sample_u_sweep alone
     data = small_data(seed=3)
-    orders, prior = default_setup(data)
     slow, real = 0.02, sampler_mod.compute_beta_full_conditional
 
     def slow_full_conditional(*args):
@@ -141,7 +132,7 @@ def test_timing_buckets_keep_the_full_conditional_out_of_the_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sampler_mod, "compute_beta_full_conditional", slow_full_conditional)
-    out = run_chain(data, orders, prior, ChainConfig(iterations=5, burn_in=0, seed=1))
+    out = run_chain(data, PriorConfig(), ChainConfig(iterations=5, burn_in=0, seed=1))
     assert out.timings["beta_fc"] >= 5 * slow
     assert out.timings["u_sweep"] < slow
 
@@ -160,10 +151,9 @@ def test_chain_deterministic_under_seed():
 def test_iterate_by_hand_reproduces_run_chain():
     # the scan is the seam a test can drive one step at a time: from the same
     # start, streams and (unadapted) steps, it must give the chain's own draws
-    data = small_data(seed=3)
-    orders, prior = default_setup(data)
+    data, prior = small_data(seed=3), PriorConfig()
     cfg = ChainConfig(iterations=50, burn_in=0, seed=42)
-    out = run_chain(data, orders, prior, cfg)
+    out = run_chain(data, prior, cfg)
 
     state, hyper = init_state(data)
     ws = SamplerWorkspace.build(data, state)
@@ -173,7 +163,7 @@ def test_iterate_by_hand_reproduces_run_chain():
     timings = dict.fromkeys(("beta_fc", "u_sweep", "beta", "sigma2_rho", "hyper"), 0.0)
     rows = []
     for _ in range(cfg.iterations):
-        _iterate(state, hyper, ws, orders, prior, steps, rngs, True, timings)
+        _iterate(state, hyper, ws, data.orders, prior, steps, rngs, True, timings)
         rows.append(np.concatenate((state.beta1, state.beta2, (
             state.sigma2, state.rho, hyper.tau1_sq, hyper.tau2_sq, hyper.r1, hyper.r2))))
     assert np.array_equal(np.array(rows), out.draws)
@@ -183,11 +173,10 @@ def test_iterate_by_hand_reproduces_run_chain():
 def _u_step(data, seed):
     """(state, ws, gen) after one sample_u_sweep call from the chain's start,
     gen the generator it drew from."""
-    orders, _ = default_setup(data)
     state, hyper = init_state(data)
     ws = SamplerWorkspace.build(data, state)
     fc = sampler_mod.compute_beta_full_conditional(
-        ws, state.sigma2, state.rho, *sampler_mod._prior_variances(orders, hyper))
+        ws, state.sigma2, state.rho, *sampler_mod._prior_variances(data.orders, hyper))
     gen = np.random.default_rng(seed)
     sampler_mod.sample_u_sweep(state, fc, ws, gen)
     return state, ws, gen
@@ -273,11 +262,11 @@ def test_tiny_chain_survives_r_at_its_clamp():
     # n=3, p=1 under the default Beta(0.1, 0.1) prior on r: r reaches its
     # 1e-12 clamp, which scales the precision badly without making it
     # singular; the chain must run to the end with finite draws
-    orders, prior = EffectOrders([1]), PriorConfig()
+    prior = PriorConfig()
     for seed in range(20):
         rng = np.random.default_rng(seed)
         data = Dataset(rng.standard_normal((3, 1)), rng.standard_normal(3), np.array([1, 0, 1]))
-        out = run_chain(data, orders, prior, ChainConfig(iterations=2000, burn_in=1000, seed=seed))
+        out = run_chain(data, prior, ChainConfig(iterations=2000, burn_in=1000, seed=seed))
         assert np.all(np.isfinite(out.draws)), seed
 
 

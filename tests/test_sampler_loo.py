@@ -266,14 +266,15 @@ def test_sweep_tail_branch_runs():
 
 def test_overflowed_gram_is_ill_conditioned():
     # X'X of a design scaled by 1e200 overflows to inf and its precision to
-    # inf and nan; the verdict must be IllConditionedError with cond inf, not
-    # a ValueError from the linear algebra
+    # inf and nan; the verdict must be IllConditionedError with cond inf,
+    # naming the overflow, not a ValueError from the linear algebra
     X, y, u, z, sigma2, rho, v1, v2 = random_instance(7, 30, 3)
     with np.errstate(all="ignore"):
         ws, _ = make_ws(1e200 * X, y, u, z)
         with pytest.raises(IllConditionedError) as exc:
             compute_beta_full_conditional(ws, sigma2, rho, v1, v2)
     assert exc.value.cond_estimate == np.inf
+    assert str(exc.value) == "full-conditional precision overflowed the float range (cond ~ inf)"
 
 
 def test_full_conditional_tiny_prior_variance():
